@@ -27,7 +27,7 @@
 
 #include "ofp/match.hpp"
 #include "swsim/flow_table.hpp"
-#include "swsim/naive_flow_table.hpp"
+#include "naive_flow_table.hpp"
 
 using namespace attain;
 using namespace attain::swsim;

@@ -29,7 +29,7 @@ class InjectorStage : public chan::Stage {
 
   bool on_envelope_fast(chan::Channel&, chan::Direction, chan::Envelope&) override {
     injector_.on_envelope_fast(connection_);
-    return true;  // the channel forward()s, matching the scalar do_send
+    return true;  // the channel forward()s, matching on_envelope()'s do_send
   }
 
  private:
@@ -173,7 +173,7 @@ bool RuntimeInjector::plan_fast(ConnectionId id, const chan::BatchShape& shape) 
   const auto endpoint = endpoints_.find(id);
   if (endpoint == endpoints_.end()) return false;
   // The side-input (channel-less) path records MessageObserved here rather
-  // than in a tap stage; keep it on the scalar path.
+  // than in a tap stage; keep it on on_envelope().
   if (endpoint->second.channel == nullptr) return false;
   // Seal state must already match so on_envelope()'s seal step is a no-op.
   if (endpoint->second.tls != shape.sealed) return false;

@@ -2,9 +2,10 @@
 // by a tight stack loop, plus a guard prefilter derived from the paths the
 // expression touches.
 //
-// The tree-walk in conditional.cpp stays as the semantic oracle (same
-// pattern as swsim::NaiveFlowTable); this is the hot path the injector runs
-// for every rule on every interposed message. Three things make it cheap:
+// The tree-walk in conditional.cpp stays as the semantic oracle (as the
+// linear-scan NaiveFlowTable in tests/ is for swsim::FlowTable); this is
+// the hot path the injector runs for every rule on every interposed
+// message. Three things make it cheap:
 //
 //   * compilation interns every dotted field path to an ofp::FieldId and
 //     every deque name to a DequeStore slot, so evaluation never parses a

@@ -70,21 +70,9 @@ Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
       controller_to_proxy_(sched, config_.segment),
       proxy_to_controller_(sched, config_.segment),
       trace_(config_.trace_capacity) {
-  switch_to_proxy_.set_receiver([this](Envelope e) {
-    arrive_at_proxy(Direction::SwitchToController, std::move(e));
-  });
-  controller_to_proxy_.set_receiver([this](Envelope e) {
-    arrive_at_proxy(Direction::ControllerToSwitch, std::move(e));
-  });
-  proxy_to_switch_.set_receiver([this](Envelope e) {
-    deliver(Direction::ControllerToSwitch, std::move(e));
-  });
-  proxy_to_controller_.set_receiver([this](Envelope e) {
-    deliver(Direction::SwitchToController, std::move(e));
-  });
-  // Opt all four hops into burst coalescing (sim/batching.hpp gates it at
-  // run time). Flood-shaped traffic — many sends sharing a zero-serialize
-  // delivery instant — then crosses each hop as one event per burst.
+  // Every hop delivers in bursts: flood-shaped traffic — many sends sharing
+  // a zero-serialize delivery instant — crosses each hop as one event per
+  // burst, and a lone frame arrives as a batch of one.
   switch_to_proxy_.set_batch_receiver([this](EnvelopeBatch batch) {
     arrive_at_proxy_batch(Direction::SwitchToController, std::move(batch));
   });
@@ -132,22 +120,6 @@ void Channel::add_stage(std::unique_ptr<Stage> stage) {
   next_sinks_.push_back(std::move(sinks));
 }
 
-void Channel::arrive_at_proxy(Direction direction, Envelope envelope) {
-  DirectionCounters& counters = dir_counters(direction);
-  if (config_.tls && !envelope.sealed()) envelope.seal();
-  if (!envelope.sealed()) {
-    // The byte pipeline decoded every readable frame here; a cached view
-    // makes that a no-op, a raw-wire frame decodes exactly once.
-    if (envelope.has_message()) {
-      ++counters.codec_ops_saved;
-    } else if (envelope.message() == nullptr && envelope.has_wire()) {
-      ++counters.decode_errors;
-    }
-  }
-  if (sim::batching_enabled() && try_run_fast(direction, envelope)) return;
-  run_stage(0, direction, std::move(envelope));
-}
-
 BatchShape Channel::shape_of(Direction direction, const Envelope& envelope) {
   BatchShape shape;
   shape.direction = direction;
@@ -156,16 +128,6 @@ BatchShape Channel::shape_of(Direction direction, const Envelope& envelope) {
     if (const ofp::Message* message = envelope.message()) shape.type = message->type();
   }
   return shape;
-}
-
-bool Channel::try_run_fast(Direction direction, Envelope& envelope) {
-  if (stages_.empty()) return false;
-  const BatchShape shape = shape_of(direction, envelope);
-  for (const std::unique_ptr<Stage>& stage : stages_) {
-    if (!stage->plan_fast(*this, shape)) return false;
-  }
-  run_fast(direction, std::move(envelope));
-  return true;
 }
 
 void Channel::run_fast(Direction direction, Envelope envelope) {
@@ -183,14 +145,16 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
     Envelope& envelope = item.payload;
     if (config_.tls && !envelope.sealed()) envelope.seal();
     if (!envelope.sealed()) {
+      // The byte pipeline decoded every readable frame here; a cached view
+      // makes that a no-op, a raw-wire frame decodes exactly once.
       if (envelope.has_message()) {
         ++counters.codec_ops_saved;
       } else if (envelope.message() == nullptr && envelope.has_wire()) {
         ++counters.decode_errors;
       }
     }
-    if (stages_.empty() || !sim::batching_enabled()) {
-      run_stage(0, direction, std::move(envelope));
+    if (stages_.empty()) {
+      forward(direction, std::move(envelope));
       continue;
     }
     const BatchShape shape = shape_of(direction, envelope);
@@ -238,20 +202,17 @@ void Channel::note_suppressed(Direction direction) {
   ++dir_counters(direction).suppressed;
 }
 
-void Channel::deliver(Direction direction, Envelope envelope) {
-  envelope.unseal();
-  if (envelope.has_message()) {
-    // The endpoint consumes the cached view instead of re-decoding.
-    ++dir_counters(direction).codec_ops_saved;
-  }
+void Channel::deliver_batch(Direction direction, EnvelopeBatch batch) {
   EnvelopeSink& sink =
       direction == Direction::SwitchToController ? controller_sink_ : switch_sink_;
-  if (sink) sink(std::move(envelope));
-}
-
-void Channel::deliver_batch(Direction direction, EnvelopeBatch batch) {
   for (sim::BatchItem<Envelope>& item : batch) {
-    deliver(direction, std::move(item.payload));
+    Envelope& envelope = item.payload;
+    envelope.unseal();
+    if (envelope.has_message()) {
+      // The endpoint consumes the cached view instead of re-decoding.
+      ++dir_counters(direction).codec_ops_saved;
+    }
+    if (sink) sink(std::move(envelope));
   }
 }
 
@@ -309,7 +270,7 @@ bool MonitorTapStage::plan_fast(Channel& channel, const BatchShape& shape) {
   (void)shape;
   // record() stores the Event only when !counters_only; in counters-only
   // mode tally_observed() reproduces its counter effects exactly. The
-  // message_id_() peek the scalar path performs is side-effect free.
+  // message_id_() peek on_envelope() performs is side-effect free.
   return monitor_.counters_only();
 }
 
@@ -325,15 +286,7 @@ bool MonitorTapStage::on_envelope_fast(Channel& channel, Direction direction,
 
 void TraceStage::on_envelope(Channel& channel, Direction direction, Envelope envelope,
                              const EnvelopeSink& next) {
-  TraceEntry entry;
-  entry.time = channel.scheduler().now();
-  entry.direction = direction;
-  if (const ofp::Message* message = envelope.message()) {
-    entry.type = message->type();
-    entry.xid = message->xid;
-  }
-  entry.length = envelope.wire_size();
-  channel.trace().push(entry);
+  on_envelope_fast(channel, direction, envelope);
   next(std::move(envelope));
 }
 

@@ -117,9 +117,9 @@ class Stage {
   /// `shape`, this stage's on_envelope() is exactly equivalent to
   /// on_envelope_fast() — same counters, same monitor effects, same
   /// forwarding — with no event scheduling. The channel queries all stages
-  /// once per batch (or once per frame on the scalar ingress) and falls
-  /// back to on_envelope() whenever any stage declines, so the default is
-  /// safely "no fast path".
+  /// once per run of same-shaped frames in a batch and falls back to
+  /// on_envelope() whenever any stage declines, so the default is safely
+  /// "no fast path".
   virtual bool plan_fast(Channel& channel, const BatchShape& shape) {
     (void)channel;
     (void)shape;
@@ -200,21 +200,19 @@ class Channel {
   std::string to_json() const;
 
  private:
-  void arrive_at_proxy(Direction direction, Envelope envelope);
-  /// Batch ingress: per-envelope preamble identical to arrive_at_proxy(),
-  /// with one stage plan per run of same-shaped envelopes instead of one
-  /// dispatch chain per frame. Any shape change or declined plan falls back
-  /// to the scalar stage chain for that envelope (and forces a replan,
-  /// since scalar stage work may change injector state).
+  /// The proxy point's only entry (a lone frame is a batch of one): seal
+  /// and codec accounting per envelope, then one stage plan per run of
+  /// same-shaped envelopes instead of one dispatch chain per frame. A shape
+  /// change replans; a declined plan sends that envelope down the
+  /// on_envelope() stage chain and forces a replan, since that stage work
+  /// may change injector state.
   void arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch);
+  /// The endpoints' only delivery entry: unseals each envelope and hands
+  /// it to the sink.
   void deliver_batch(Direction direction, EnvelopeBatch batch);
   static BatchShape shape_of(Direction direction, const Envelope& envelope);
-  /// Scalar fast path: plan + run the fast hooks for one frame; returns
-  /// false (envelope untouched) if any stage declines.
-  bool try_run_fast(Direction direction, Envelope& envelope);
   void run_fast(Direction direction, Envelope envelope);
   void run_stage(std::size_t index, Direction direction, Envelope envelope);
-  void deliver(Direction direction, Envelope envelope);
   DirectionCounters& dir_counters(Direction direction) {
     return counters_[static_cast<std::size_t>(direction)];
   }
@@ -258,8 +256,8 @@ class MonitorTapStage : public Stage {
                    const EnvelopeSink& next) override;
 
   /// Fast when the monitor keeps counters only: tally_observed() bumps the
-  /// same kind/type/connection counters record() would, and the Event the
-  /// scalar path builds would be dropped anyway.
+  /// same kind/type/connection counters record() would, and the Event
+  /// on_envelope() builds would be dropped anyway.
   bool plan_fast(Channel& channel, const BatchShape& shape) override;
   bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
 
@@ -277,7 +275,7 @@ class TraceStage : public Stage {
   void on_envelope(Channel& channel, Direction direction, Envelope envelope,
                    const EnvelopeSink& next) override;
 
-  /// Always fast: the ring push is identical either way.
+  /// Always fast: on_envelope() is on_envelope_fast() followed by `next`.
   bool plan_fast(Channel& channel, const BatchShape& shape) override;
   bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
 };

@@ -9,7 +9,6 @@
 #include "common/arena.hpp"
 #include "packet/codec.hpp"
 #include "packet/stamp.hpp"
-#include "sim/batching.hpp"
 #include "topo/generators.hpp"
 
 namespace attain::scenario {
@@ -668,34 +667,18 @@ class VolumetricWarmup final : public WarmupPhase {
         sched.at(start + static_cast<SimTime>(b) * batch_gap,
                  [this, name = sources[s].sw, port = sources[s].port, base, lo, hi, victim_mac,
                   victim_ip] {
-                   swsim::OpenFlowSwitch& sw = bed_->switch_named(name);
-                   if (sim::batching_enabled() &&
-                       emit_flood_batch(sw, port, base, lo, hi, victim_mac, victim_ip)) {
-                     return;
-                   }
-                   for (std::uint64_t f = lo; f < hi; ++f) {
-                     pkt::TcpHeader tcp;
-                     tcp.src_port = static_cast<std::uint16_t>(40000 + (f & 0x3fff));
-                     tcp.dst_port = 80;
-                     tcp.flags = pkt::kTcpSyn;
-                     pkt::Packet p = pkt::make_tcp(
-                         pkt::MacAddress::from_u64(0x0aad00000000ULL | (base + f)), victim_mac,
-                         pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + base + f)},
-                         victim_ip, tcp, /*payload_size=*/0, /*tag=*/0);
-                     sw.on_packet(port, std::move(p));
-                     ++injected_;
-                   }
+                   emit_flood_batch(bed_->switch_named(name), port, base, lo, hi, victim_mac,
+                                    victim_ip);
                  });
       }
     }
   }
 
-  /// Batched flood emission: one PacketBatch per (source, interval) event,
-  /// frames produced by a template stamper (memcpy + src MAC/IP/port patch,
-  /// bytes validated identical to the scalar make_tcp + pkt::encode path).
-  /// Returns false — caller falls back to the scalar loop — if any flood-
-  /// varying field turned out unstampable on this prototype.
-  bool emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
+  /// One PacketBatch per (source, interval) event, frames produced by a
+  /// template stamper: memcpy of a fixed TCP SYN prototype plus a src
+  /// MAC/IP/port patch, bytes identical to make_tcp + pkt::encode
+  /// (FrameStamper.TcpFloodFrameDifferentialFuzz).
+  void emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
                         std::uint64_t lo, std::uint64_t hi, pkt::MacAddress victim_mac,
                         pkt::Ipv4Address victim_ip) {
     if (!flood_stamper_) {
@@ -708,9 +691,6 @@ class VolumetricWarmup final : public WarmupPhase {
                                            tcp, /*payload_size=*/0, /*tag=*/0));
     }
     pkt::FrameStamper& st = *flood_stamper_;
-    if (!st.can_stamp_src_mac() || !st.can_stamp_src_ip() || !st.can_stamp_src_port()) {
-      return false;
-    }
     swsim::PacketBatch batch;
     batch.port = port;
     batch.packets.reserve(hi - lo);
@@ -724,7 +704,6 @@ class VolumetricWarmup final : public WarmupPhase {
       ++injected_;
     }
     sw.on_packet_batch(std::move(batch));
-    return true;
   }
 
   RunSpec rep_;

@@ -15,7 +15,6 @@
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
-#include "sim/batching.hpp"
 #include "sim/scheduler.hpp"
 
 namespace attain::sim {
@@ -30,7 +29,7 @@ struct BatchItem {
 /// A burst of payloads that share one delivery instant on one pipe. The
 /// batch fires as a single scheduler event but counts as one logical event
 /// per item (Scheduler::count_extra_events), so events_executed() and every
-/// delivery side effect stay byte-identical to the scalar schedule.
+/// delivery side effect match a schedule of one event per payload.
 template <typename T>
 using PayloadBatch = mem::vector<BatchItem<T>>;
 
@@ -67,10 +66,10 @@ class Pipe {
   /// Opts this pipe into delivery coalescing: consecutive sends that share a
   /// delivery instant — with no event scheduled anywhere in between (see
   /// Scheduler::issue_seq) — are handed to `receiver` as one batch instead
-  /// of one event each. Delivery order, per-payload stats, and
-  /// events_executed() accounting are preserved exactly; when
-  /// sim::batching_enabled() is off the pipe runs the scalar path even with
-  /// a batch receiver installed.
+  /// of one event each; a lone payload arrives as a batch of one. Delivery
+  /// order, per-payload stats, and events_executed() accounting are
+  /// preserved exactly. A pipe with a batch receiver never calls the
+  /// per-payload receiver.
   void set_batch_receiver(BatchReceiver receiver) { batch_receiver_ = std::move(receiver); }
 
   const PipeStats& stats() const { return stats_; }
@@ -101,7 +100,7 @@ class Pipe {
     const SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + serialize;
     const SimTime deliver_at = busy_until_ + config_.propagation_delay;
-    if (batch_receiver_ && batching_enabled()) {
+    if (batch_receiver_) {
       if (open_batch_ != kNoBatch && open_deliver_at_ == deliver_at &&
           sched_->issue_seq() == open_seq_) {
         // Nothing was scheduled since the last append, so no event can be
@@ -149,7 +148,7 @@ class Pipe {
     in_flight_ -= items.size();
     // up_ cannot differ across the batch: any set_up happens inside another
     // event, and the coalescing guard proved no event sits between these
-    // deliveries in the scalar schedule.
+    // deliveries in a one-event-per-payload schedule.
     if (!up_) return;
     stats_.delivered += items.size();
     for (const BatchItem<T>& item : items) stats_.bytes_delivered += item.size_bytes;

@@ -85,7 +85,7 @@ class Scheduler {
 
   /// Credits `n` extra logical events against events_executed(). A batch
   /// event that delivers k coalesced payloads reports k-1 extras so the
-  /// executed count matches the scalar schedule exactly.
+  /// executed count matches one event per payload exactly.
   void count_extra_events(std::uint64_t n) { executed_ += n; }
 
   std::size_t pending_events() const { return queue_.size(); }

@@ -1,10 +1,10 @@
 #include "swsim/switch.hpp"
 
 #include <span>
+#include <stdexcept>
 
 #include "common/log.hpp"
 #include "packet/codec.hpp"
-#include "sim/batching.hpp"
 
 namespace attain::swsim {
 
@@ -336,15 +336,16 @@ void OpenFlowSwitch::on_packet(std::uint16_t port, pkt::Packet packet) {
 }
 
 void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
-  if (!sim::batching_enabled() || state_ != ChannelState::Connected) {
-    // Disconnected fail-mode handling (and the batching-off oracle) take
-    // the scalar path unchanged.
+  const std::size_t count = batch.packets.size();
+  if (batch.wires.size() != count) {
+    throw std::invalid_argument("PacketBatch: wires and packets differ in length");
+  }
+  if (state_ != ChannelState::Connected) {
+    // Disconnected fail-mode handling is per packet.
     for (pkt::Packet& packet : batch.packets) on_packet(batch.port, std::move(packet));
     return;
   }
   const SimTime now = sched_.now();
-  const std::size_t count = batch.packets.size();
-  const bool have_wires = batch.wires.size() == count;
   // Slab-backed scratch: steady-state batches recycle these pages.
   mem::vector<pkt::FlowKey> keys;
   mem::vector<std::size_t> sizes;
@@ -366,11 +367,7 @@ void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
       continue;
     }
     ++counters_.table_misses;
-    if (have_wires) {
-      table_miss(batch.packets[i], batch.wires[i], batch.port);
-    } else {
-      table_miss(batch.packets[i], batch.port);
-    }
+    table_miss(batch.packets[i], batch.wires[i], batch.port);
   }
 }
 
@@ -380,8 +377,8 @@ void OpenFlowSwitch::table_miss(const pkt::Packet& packet, std::uint16_t in_port
 
 void OpenFlowSwitch::table_miss(const pkt::Packet& packet, const Bytes& frame,
                                 std::uint16_t in_port) {
-  // Buffering decision first, exactly the scalar order: buffer id, then
-  // the shipped data region (miss_send_len-truncated when buffered, the
+  // Buffering decision first, in the order the full encode below assigns
+  // them: buffer id, then the shipped data region (miss_send_len-truncated when buffered, the
   // whole frame when the pool is exhausted), then the xid.
   std::uint32_t buffer_id = ofp::kNoBuffer;
   std::size_t data_size = frame.size();
@@ -392,7 +389,7 @@ void OpenFlowSwitch::table_miss(const pkt::Packet& packet, const Bytes& frame,
   }
   ++counters_.packet_in_sent;
 
-  if (sim::batching_enabled() && send_control_) {
+  if (send_control_) {
     if (ofp::StampedTemplate* tmpl = miss_template(data_size)) {
       // O(patched bytes) emission: memcpy the prototype wire and stamp the
       // flood-varying fields — bytes validated identical to a full encode

@@ -25,10 +25,10 @@
 namespace attain::swsim {
 
 /// A burst of data-plane frames arriving on one ingress port at one
-/// instant (the volumetric flood generators emit these). `wires`, when the
-/// same length as `packets`, carries each packet's encoded frame —
-/// byte-identical to pkt::encode(packets[i]) — so a table miss reuses it
-/// instead of re-encoding; leave it empty to encode on demand.
+/// instant (the volumetric flood generators emit these). `wires[i]` is
+/// packets[i]'s encoded frame — byte-identical to pkt::encode(packets[i]) —
+/// so a table miss reuses it instead of re-encoding; the two vectors must
+/// have the same length.
 struct PacketBatch {
   std::uint16_t port{0};
   mem::vector<pkt::Packet> packets;
@@ -102,9 +102,10 @@ class OpenFlowSwitch {
 
   /// Delivers a burst of data-plane frames arriving together on one port.
   /// Observationally identical to calling on_packet() once per frame in
-  /// order; when batching is enabled and the channel is Connected, the
-  /// flow-table lookups run through match_batch() (prefetched) and table
-  /// misses emit PACKET_INs through the stamped template.
+  /// order; while the channel is Connected the flow-table lookups run
+  /// through match_batch() (prefetched) and table misses reuse the batch's
+  /// encoded frames. Throws std::invalid_argument when `batch.wires` and
+  /// `batch.packets` differ in length.
   void on_packet_batch(PacketBatch batch);
 
   /// Administratively raises/lowers a port (models link failure at this

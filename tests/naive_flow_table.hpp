@@ -1,6 +1,7 @@
 // Reference OF1.0 flow table: the seed's linear-scan implementation, kept
 // verbatim as the differential-testing oracle for the two-tier classifier
-// in flow_table.hpp. TEST/BENCH ONLY — production code must use FlowTable;
+// in src/swsim/flow_table.hpp. It lives under tests/ because production
+// code must use FlowTable (bench_flow_lookup includes it from here too);
 // this table is O(entries) per packet and O(entries) per expiry tick by
 // construction, which is exactly what bench_flow_lookup measures against.
 //

@@ -1,30 +1,21 @@
-// The batched fast path's acceptance contract: pipe coalescing preserves
-// delivery order, per-payload stats, and events_executed() accounting
-// exactly; the switch's batch ingress emits byte-identical control frames
-// to the scalar path; and whole sweep cells — volumetric floods and armed
-// suppression attacks — produce byte-identical result JSON with batching
-// on and off.
-#include <string>
+// The batched pipeline's contract below whole cells (the Golden.* tests
+// in test_golden.cpp pin whole cells): pipe coalescing preserves delivery
+// order, per-payload stats, and events_executed() accounting exactly, and
+// the switch's batch ingress emits byte-identical control frames to
+// per-packet on_packet() ingress.
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ofp/codec.hpp"
 #include "packet/codec.hpp"
-#include "scenario/experiment.hpp"
-#include "sim/batching.hpp"
 #include "sim/link.hpp"
-#include "sweep/sweep.hpp"
 #include "swsim/switch.hpp"
-#include "topo/generators.hpp"
 
 namespace attain {
 namespace {
-
-using scenario::ControllerKind;
-using scenario::ExperimentKind;
-using scenario::RunSpec;
-using scenario::VolumetricKind;
 
 // ---------------------------------------------------------------------------
 // Pipe coalescing.
@@ -90,28 +81,8 @@ TEST(PipeBatching, SerializationDelayPreventsCoalescing) {
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{1, 1}));
 }
 
-TEST(PipeBatching, BatchingOverrideRestoresScalarDelivery) {
-  sim::Scheduler sched;
-  sim::Pipe<int> pipe(sched, sim::PipeConfig{0, 10, 0});
-  std::vector<std::size_t> batch_sizes;
-  int scalar_deliveries = 0;
-  pipe.set_receiver([&](int) { ++scalar_deliveries; });
-  pipe.set_batch_receiver([&](sim::PayloadBatch<int> items) {
-    batch_sizes.push_back(items.size());
-  });
-  const sim::BatchingOverride off(false);
-  sched.at(5, [&] {
-    pipe.send(1, 8);
-    pipe.send(2, 8);
-  });
-  sched.run();
-  EXPECT_TRUE(batch_sizes.empty());
-  EXPECT_EQ(scalar_deliveries, 2);
-  EXPECT_EQ(sched.events_executed(), 3u);
-}
-
 // ---------------------------------------------------------------------------
-// Switch batch ingress: byte-identical control output to the scalar path.
+// Switch batch ingress: byte-identical control output to per-packet ingress.
 // ---------------------------------------------------------------------------
 
 swsim::PacketBatch flood_batch(std::uint16_t port, int count) {
@@ -158,11 +129,8 @@ struct WireHarness {
 
 TEST(SwitchBatching, BatchIngressMatchesScalarByteForByte) {
   WireHarness scalar;
-  {
-    const sim::BatchingOverride off(false);
-    swsim::PacketBatch batch = flood_batch(3, 32);
-    scalar.sw->on_packet_batch(std::move(batch));  // falls back to on_packet()
-  }
+  swsim::PacketBatch batch = flood_batch(3, 32);
+  for (pkt::Packet& packet : batch.packets) scalar.sw->on_packet(batch.port, std::move(packet));
 
   WireHarness batched;
   batched.sw->on_packet_batch(flood_batch(3, 32));
@@ -177,6 +145,15 @@ TEST(SwitchBatching, BatchIngressMatchesScalarByteForByte) {
   EXPECT_EQ(scalar.sw->counters().control_tx, batched.sw->counters().control_tx);
 }
 
+TEST(SwitchBatching, BatchWithoutMatchingWiresIsRejected) {
+  WireHarness h;
+  swsim::PacketBatch batch = flood_batch(3, 4);
+  batch.wires.pop_back();
+  EXPECT_THROW(h.sw->on_packet_batch(std::move(batch)), std::invalid_argument);
+  EXPECT_EQ(h.sw->counters().packets_in, 0u);
+  EXPECT_TRUE(h.control_wire.empty());
+}
+
 TEST(SwitchBatching, StampedPacketInCarriesBothEnvelopeViews) {
   WireHarness h;
   h.sw->on_packet_batch(flood_batch(2, 4));
@@ -187,58 +164,6 @@ TEST(SwitchBatching, StampedPacketInCarriesBothEnvelopeViews) {
     EXPECT_EQ(decoded.type(), ofp::MsgType::PacketIn);
     EXPECT_EQ(ofp::encode(decoded), wire);
   }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end byte identity: batching on == batching off, cell by cell.
-// ---------------------------------------------------------------------------
-
-std::string sweep_json(const std::vector<RunSpec>& grid, bool batching, unsigned threads) {
-  const sim::BatchingOverride guard(batching);
-  sweep::SweepOptions options;
-  options.threads = threads;
-  return sweep::SweepRunner(options).run(grid).results_json();
-}
-
-TEST(BatchPipelineIdentity, VolumetricFloodCellsAreBatchingInvariant) {
-  const std::vector<RunSpec> grid =
-      scenario::GridBuilder()
-          .volumetric(VolumetricKind::PacketInFlood)
-          .volumetric(VolumetricKind::SlowRate)
-          .controllers({ControllerKind::Pox})
-          .topology(topo::TopologySpec::fat_tree(4))
-          .flood(/*flows=*/32, /*duration=*/2 * kSecond, /*batch=*/500 * kMillisecond)
-          .build();
-  const std::string off = sweep_json(grid, false, 1);
-  EXPECT_EQ(off, sweep_json(grid, true, 1));
-  EXPECT_EQ(off, sweep_json(grid, true, 4));
-}
-
-TEST(BatchPipelineIdentity, ArmedSuppressionCellIsBatchingInvariant) {
-  // The armed path: POX suppression drives the injector's executor, so this
-  // pins the guard-skip fast plan's counter mirror (messages_interposed,
-  // rules_skipped_by_guard, MessageForwarded tallies) against the scalar
-  // rule loop.
-  RunSpec spec;
-  spec.experiment = ExperimentKind::FlowModSuppression;
-  spec.controller = ControllerKind::Pox;
-  spec.attack_enabled = true;
-  spec.ping_trials = 2;
-  spec.iperf_trials = 0;
-  const std::vector<RunSpec> grid{spec};
-  EXPECT_EQ(sweep_json(grid, false, 1), sweep_json(grid, true, 1));
-}
-
-TEST(BatchPipelineIdentity, TableOverflowCellIsBatchingInvariant) {
-  const std::vector<RunSpec> grid =
-      scenario::GridBuilder()
-          .volumetric(VolumetricKind::TableOverflow)
-          .controllers({ControllerKind::Floodlight})
-          .topology(topo::TopologySpec::fat_tree(4))
-          .flood(/*flows=*/32, /*duration=*/2 * kSecond, /*batch=*/500 * kMillisecond)
-          .table_capacity(64)
-          .build();
-  EXPECT_EQ(sweep_json(grid, false, 1), sweep_json(grid, true, 1));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "swsim/naive_flow_table.hpp"
+#include "naive_flow_table.hpp"
 
 namespace attain::swsim {
 namespace {

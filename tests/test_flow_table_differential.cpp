@@ -12,7 +12,7 @@
 
 #include "common/rng.hpp"
 #include "swsim/flow_table.hpp"
-#include "swsim/naive_flow_table.hpp"
+#include "naive_flow_table.hpp"
 
 namespace attain::swsim {
 namespace {

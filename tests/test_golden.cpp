@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "scenario/run.hpp"
-#include "sim/batching.hpp"
 #include "sweep/sweep.hpp"
 #include "topo/generators.hpp"
 
@@ -64,20 +63,16 @@ void write_actual(const std::string& name, const std::string& document) {
          << document.substr(from, 160) << "\n  golden: ..." << expected.substr(from, 160);
 }
 
-/// Runs `grid` at each thread count, with the batched and the scalar
-/// pipeline, and diffs every document against the golden.
+/// Runs `grid` at each thread count and diffs every document against the
+/// golden.
 void expect_golden(const std::string& name, const std::vector<RunSpec>& grid,
                    std::initializer_list<unsigned> thread_counts) {
-  for (const bool batching : {false, true}) {
-    const sim::BatchingOverride guard(batching);
-    for (const unsigned threads : thread_counts) {
-      sweep::SweepOptions options;
-      options.threads = threads;
-      const sweep::SweepReport report = sweep::SweepRunner(options).run(grid);
-      ASSERT_EQ(report.ok(), grid.size()) << name;
-      EXPECT_TRUE(matches_golden(name, report.results_json() + "\n"))
-          << "batching " << batching << ", " << threads << " thread(s)";
-    }
+  for (const unsigned threads : thread_counts) {
+    sweep::SweepOptions options;
+    options.threads = threads;
+    const sweep::SweepReport report = sweep::SweepRunner(options).run(grid);
+    ASSERT_EQ(report.ok(), grid.size()) << name;
+    EXPECT_TRUE(matches_golden(name, report.results_json() + "\n")) << threads << " thread(s)";
   }
 }
 
@@ -85,9 +80,10 @@ TEST(Golden, Table2) { expect_golden("table2", scenario::table2_grid(), {2}); }
 
 TEST(Golden, Fig11) { expect_golden("fig11", scenario::fig11_grid(), {2}); }
 
-// Storm regression cell: fat-tree(4) floods on every shipped controller (the
-// controllers flood with OFPP_FLOOD on a loopy fabric), so this pins the
-// batch ingress under a broadcast storm rather than the attack's effect.
+// Storm regression cell: every shipped controller floods with OFPP_FLOOD,
+// which storms on the loopy fat-tree(4), so these cells pin the batch
+// ingress under a broadcast storm rather than the attack's effect. The
+// 1-vs-4-thread runs pin the sweep's thread-count invariance as well.
 TEST(Golden, StormPoxFloodAndSlowRate) {
   const std::vector<RunSpec> grid =
       GridBuilder()
@@ -113,7 +109,7 @@ TEST(Golden, PoxSuppressionArmed) {
   expect_golden("pox_suppression_armed", {spec}, {1});
 }
 
-// Storm regression cell: a capacity-64 table on the storming fabric, so
+// Storm regression cell: a capacity-64 table on the same storming fabric, so
 // FLOW_MOD rejections and ALL_TABLES_FULL errors cross the batch path.
 TEST(Golden, StormFloodlightTableOverflow) {
   const std::vector<RunSpec> grid =
