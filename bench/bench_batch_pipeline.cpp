@@ -293,8 +293,8 @@ int main(int argc, char** argv) {
   std::printf("  %.3f s (gated by tools/bench_baseline.py)\n", cell_seconds);
 
   if (const std::string path = bench::json_out_path(argc, argv); !path.empty()) {
-    // The metric names predate the removal of the scalar pipeline; they are
-    // kept so the committed baselines keep gating them.
+    // The "_batched" names match the committed BENCH_pipeline.json keys, so
+    // tools/bench_baseline.py keeps gating them.
     const bench::Metrics metrics = {
         {"ingress_batched_seconds", ingress.seconds},
         {"encode_full_seconds", encode.full_seconds},

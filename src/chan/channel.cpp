@@ -139,7 +139,8 @@ void Channel::run_fast(Direction direction, Envelope envelope) {
 
 void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
   DirectionCounters& counters = dir_counters(direction);
-  std::optional<BatchShape> plan_shape;
+  BatchShape plan_shape;
+  bool planned = false;
   bool plan_ok = false;
   for (sim::BatchItem<Envelope>& item : batch) {
     Envelope& envelope = item.payload;
@@ -158,8 +159,9 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
       continue;
     }
     const BatchShape shape = shape_of(direction, envelope);
-    if (!plan_shape || !(shape == *plan_shape)) {
+    if (!planned || !(shape == plan_shape)) {
       plan_shape = shape;
+      planned = true;
       plan_ok = true;
       for (const std::unique_ptr<Stage>& stage : stages_) {
         if (!stage->plan_fast(*this, shape)) {
@@ -172,8 +174,8 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
       run_fast(direction, std::move(envelope));
     } else {
       run_stage(0, direction, std::move(envelope));
-      // Scalar stage work may change injector/monitor state; replan.
-      plan_shape.reset();
+      // on_envelope() stage work may change injector/monitor state; replan.
+      planned = false;
     }
   }
 }

@@ -41,7 +41,8 @@ TEST(PipeBatching, SameInstantSendsCoalesceIntoOneBatch) {
   EXPECT_EQ(pipe.stats().delivered, 3u);
   EXPECT_EQ(pipe.stats().bytes_delivered, 24u);
   // One scheduler event fired for the batch, plus the seed event; the extra
-  // two items count as logical events so the total matches the scalar run.
+  // two items count as logical events so the total matches one event per
+  // payload.
   EXPECT_EQ(sched.events_executed(), 1u + 3u);
 }
 
@@ -54,9 +55,9 @@ TEST(PipeBatching, InterveningScheduleSplitsTheBatch) {
   });
   sched.at(5, [&] {
     pipe.send(1, 8);
-    // An unrelated event scheduled between two sends could, in the scalar
-    // schedule, be ordered between their deliveries — the pipe must not
-    // coalesce across it.
+    // An unrelated event scheduled between two sends could, in a schedule
+    // of one event per payload, be ordered between their deliveries — the
+    // pipe must not coalesce across it.
     sched.at(15, [] {});
     pipe.send(2, 8);
   });
@@ -128,21 +129,21 @@ struct WireHarness {
 };
 
 TEST(SwitchBatching, BatchIngressMatchesScalarByteForByte) {
-  WireHarness scalar;
+  WireHarness per_packet;
   swsim::PacketBatch batch = flood_batch(3, 32);
-  for (pkt::Packet& packet : batch.packets) scalar.sw->on_packet(batch.port, std::move(packet));
+  for (pkt::Packet& packet : batch.packets) per_packet.sw->on_packet(batch.port, std::move(packet));
 
   WireHarness batched;
   batched.sw->on_packet_batch(flood_batch(3, 32));
 
-  ASSERT_EQ(scalar.control_wire.size(), batched.control_wire.size());
-  for (std::size_t i = 0; i < scalar.control_wire.size(); ++i) {
-    ASSERT_EQ(scalar.control_wire[i], batched.control_wire[i]) << "frame " << i;
+  ASSERT_EQ(per_packet.control_wire.size(), batched.control_wire.size());
+  for (std::size_t i = 0; i < per_packet.control_wire.size(); ++i) {
+    ASSERT_EQ(per_packet.control_wire[i], batched.control_wire[i]) << "frame " << i;
   }
-  EXPECT_EQ(scalar.sw->counters().packets_in, batched.sw->counters().packets_in);
-  EXPECT_EQ(scalar.sw->counters().table_misses, batched.sw->counters().table_misses);
-  EXPECT_EQ(scalar.sw->counters().packet_in_sent, batched.sw->counters().packet_in_sent);
-  EXPECT_EQ(scalar.sw->counters().control_tx, batched.sw->counters().control_tx);
+  EXPECT_EQ(per_packet.sw->counters().packets_in, batched.sw->counters().packets_in);
+  EXPECT_EQ(per_packet.sw->counters().table_misses, batched.sw->counters().table_misses);
+  EXPECT_EQ(per_packet.sw->counters().packet_in_sent, batched.sw->counters().packet_in_sent);
+  EXPECT_EQ(per_packet.sw->counters().control_tx, batched.sw->counters().control_tx);
 }
 
 TEST(SwitchBatching, BatchWithoutMatchingWiresIsRejected) {
