@@ -10,12 +10,19 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.hpp"
+#include "common/json.hpp"
+#include "dpl/iperf.hpp"
+#include "dpl/ping.hpp"
+#include "scenario/enterprise.hpp"
+#include "scenario/experiment.hpp"
 #include "scenario/run.hpp"
 #include "sweep/sweep.hpp"
 #include "topo/generators.hpp"
@@ -121,6 +128,80 @@ TEST(Golden, StormFloodlightTableOverflow) {
           .table_capacity(64)
           .build();
   expect_golden("storm_floodlight_table_overflow", grid, {1});
+}
+
+/// Compact form of a full event log: event counts per kind and per (kind,
+/// message type), the summed `length`, and an FNV-1a digest over every
+/// field of every event in log order.
+std::string event_log_summary(const monitor::Monitor& monitor) {
+  std::map<std::string, std::uint64_t> per_kind;
+  std::map<std::string, std::uint64_t> per_kind_type;
+  std::uint64_t length_sum = 0;
+  ByteWriter fields;
+  auto put_string = [&fields](const std::string& s) {
+    fields.u32(static_cast<std::uint32_t>(s.size()));
+    fields.raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  };
+  for (const monitor::Event& event : monitor.events()) {
+    const std::string kind = monitor::to_string(event.kind);
+    ++per_kind[kind];
+    ++per_kind_type[kind + "/" +
+                    (event.message_type ? ofp::to_string(*event.message_type) : "-")];
+    length_sum += event.length;
+    fields.u8(static_cast<std::uint8_t>(event.kind));
+    fields.u64(static_cast<std::uint64_t>(event.time));
+    fields.u8(static_cast<std::uint8_t>(event.connection.controller.kind));
+    fields.u32(event.connection.controller.index);
+    fields.u8(static_cast<std::uint8_t>(event.connection.sw.kind));
+    fields.u32(event.connection.sw.index);
+    fields.u8(static_cast<std::uint8_t>(event.direction));
+    fields.u64(event.message_id);
+    fields.u8(event.message_type ? 1 : 0);
+    fields.u8(event.message_type ? static_cast<std::uint8_t>(*event.message_type) : 0);
+    fields.u64(event.length);
+    put_string(event.rule);
+    put_string(event.state);
+    put_string(event.detail);
+  }
+  JsonWriter w;
+  w.begin_object();
+  w.field("events", static_cast<std::uint64_t>(monitor.events().size()));
+  w.key("per_kind").begin_object();
+  for (const auto& [kind, n] : per_kind) w.field(kind, n);
+  w.end_object();
+  w.key("per_kind_type").begin_object();
+  for (const auto& [kind_type, n] : per_kind_type) w.field(kind_type, n);
+  w.end_object();
+  w.field("length_sum", length_sum);
+  w.field("fnv1a", std::to_string(fnv1a64(fields.bytes())));
+  w.end_object();
+  return w.str();
+}
+
+// The full-event monitor path: every other golden runs counters-only
+// monitors, so this one pins the stored MessageObserved / MessageForwarded /
+// MessageDropped events, their lengths and ids, on a short armed Fig. 11
+// Floodlight suppression cell (3 pings, one 1 s iperf trial).
+TEST(Golden, FullEventMonitorSuppression) {
+  scenario::TestbedOptions options;
+  options.controller = ControllerKind::Floodlight;
+  options.monitor_counters_only = false;
+  scenario::Testbed bed(scenario::make_enterprise_model(), options);
+  bed.arm_attack_at(seconds(5), scenario::flow_mod_suppression_dsl());
+  bed.connect_switches_at(seconds(6));
+  dpl::PingApp ping(bed.host("h1"), bed.host("h6").ip(), /*icmp_id=*/100);
+  bed.scheduler().at(seconds(30), [&ping] { ping.start(3); });
+  dpl::IperfServer server(bed.host("h6"), 5001);
+  dpl::IperfClientConfig client_config;
+  client_config.server_port = 5001;
+  client_config.client_port = 50000;
+  dpl::IperfClient client(bed.host("h1"), bed.host("h6").ip(), client_config);
+  bed.scheduler().at(seconds(35), [&client] { client.start(1 * kSecond); });
+  bed.run_until(seconds(38));
+
+  ASSERT_GT(bed.monitor().count(monitor::EventKind::MessageDropped), 0u);
+  EXPECT_TRUE(matches_golden("full_event_monitor_suppression",
+                             event_log_summary(bed.monitor()) + "\n"));
 }
 
 }  // namespace
