@@ -115,31 +115,32 @@ void DistributedInjector::on_envelope(ConnectionId id, chan::Direction direction
     stats_.coordination_delay_total += 2 * coordination_latency_;
     auto shared = std::make_shared<lang::InFlightMessage>(std::move(msg));
     sched_.after(coordination_latency_, [this, shared] {
-      execute_and_deliver(*executors_.front(), *shared, coordination_latency_);
+      execute_and_deliver(*executors_.front(), std::move(*shared), coordination_latency_);
     });
   } else {
-    execute_and_deliver(*executors_[shard_of(id)], msg, 0);
+    execute_and_deliver(*executors_[shard_of(id)], std::move(msg), 0);
   }
 }
 
 void DistributedInjector::execute_and_deliver(AttackExecutor& executor,
-                                              const lang::InFlightMessage& msg,
+                                              lang::InFlightMessage msg,
                                               SimTime extra_delivery_delay) {
-  ExecutionResult result = executor.process(msg);
+  ExecutionResult result = executor.process(std::move(msg));
   for (OutMessage& out : result.outgoing) {
-    deliver(out, extra_delivery_delay);
+    deliver(std::move(out), extra_delivery_delay);
   }
 }
 
-void DistributedInjector::deliver(const OutMessage& out, SimTime extra_delay) {
-  const lang::InFlightMessage& msg = out.message;
+void DistributedInjector::deliver(OutMessage out, SimTime extra_delay) {
+  lang::InFlightMessage& msg = out.message;
   ConnectionId conn = msg.connection;
   if (msg.direction == chan::Direction::ControllerToSwitch) {
     if (msg.destination != conn.sw) conn.sw = msg.destination;
   } else {
     if (msg.destination != conn.controller) conn.controller = msg.destination;
   }
-  auto do_send = [this, conn, direction = msg.direction, envelope = msg.envelope]() mutable {
+  auto do_send = [this, conn, direction = msg.direction,
+                  envelope = std::move(msg.envelope)]() mutable {
     const auto ep = endpoints_.find(conn);
     if (ep == endpoints_.end()) return;
     ++stats_.messages_delivered;
@@ -151,7 +152,7 @@ void DistributedInjector::deliver(const OutMessage& out, SimTime extra_delay) {
   };
   const SimTime delay = out.delay + extra_delay;
   if (delay > 0) {
-    sched_.after(delay, do_send);
+    sched_.after(delay, std::move(do_send));
   } else {
     do_send();
   }

@@ -34,48 +34,54 @@ const std::string& AttackExecutor::current_state_name() const {
   return attack_.states[current_].name;
 }
 
-bool AttackExecutor::plan_guard_skip(ConnectionId conn, lang::Direction direction,
-                                     std::optional<ofp::MsgType> type) const {
+bool AttackExecutor::skip_by_guards(ConnectionId conn, lang::Direction direction,
+                                    std::optional<ofp::MsgType> type) {
   if (!use_compiled_) return false;  // oracle mode evaluates every rule
   const auto bucket = rule_buckets_[current_].find(conn);
-  if (bucket == rule_buckets_[current_].end()) return true;  // no rule bound to n
-  const dsl::CompiledState& state = attack_.states[current_];
-  for (const std::uint32_t rule_index : bucket->second) {
-    const dsl::CompiledRule& compiled = state.rules[rule_index];
-    if (!compiled.has_programs) return false;  // would tree-walk: not skippable
-    const lang::Guard& guard = compiled.program.guard();
-    // Shape-level Guard::admits(): direction bit, then undecodable_ok for
-    // payload-less frames, then the type bit. Any admitted rule would run.
-    if ((guard.direction_mask & (1u << static_cast<unsigned>(direction))) == 0) continue;
-    if (!type.has_value()) {
-      if (guard.undecodable_ok) return false;
-      continue;
+  if (bucket != rule_buckets_[current_].end()) {
+    const dsl::CompiledState& state = attack_.states[current_];
+    for (const std::uint32_t rule_index : bucket->second) {
+      const dsl::CompiledRule& compiled = state.rules[rule_index];
+      if (!compiled.has_programs) return false;  // would tree-walk: not skippable
+      const lang::Guard& guard = compiled.program.guard();
+      // Shape-level Guard::admits(): direction bit, then undecodable_ok for
+      // payload-less frames, then the type bit. Any admitted rule would run.
+      if ((guard.direction_mask & (1u << static_cast<unsigned>(direction))) == 0) continue;
+      if (!type.has_value()) {
+        if (guard.undecodable_ok) return false;
+        continue;
+      }
+      if ((guard.type_mask >> static_cast<unsigned>(*type)) & 1u) return false;
     }
-    if ((guard.type_mask >> static_cast<unsigned>(*type)) & 1u) return false;
+    stats_.rules_skipped_by_guard += bucket->second.size();
   }
+  ++stats_.messages_processed;
   return true;
 }
 
-void AttackExecutor::tally_guard_skip(ConnectionId conn) {
-  ++stats_.messages_processed;
-  const auto bucket = rule_buckets_[current_].find(conn);
-  if (bucket != rule_buckets_[current_].end()) {
-    stats_.rules_skipped_by_guard += bucket->second.size();
-  }
-}
-
-ExecutionResult AttackExecutor::process(const lang::InFlightMessage& msg) {
+ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
   ++stats_.messages_processed;
   ExecutionResult result;
-  // line 5: msg_out ← [msg_in]
-  result.outgoing.push_back(OutMessage{msg, 0});
+  // line 5: msg_out ← [msg_in]. The entry carries msg_in's metadata; the
+  // frame stays in `msg`, which the rules read unmodified, and moves over
+  // once they are done unless an action copied it to mutate it.
+  result.outgoing.push_back(OutMessage{msg.without_frame(), 0, /*frame_pending=*/true});
+  run_rules(msg, result);
+  if (!result.outgoing.empty() && result.outgoing.front().frame_pending) {
+    result.outgoing.front().message.envelope = std::move(msg.envelope);
+    result.outgoing.front().frame_pending = false;
+  }
+  return result;
+}
+
+void AttackExecutor::run_rules(const lang::InFlightMessage& msg, ExecutionResult& result) {
   // line 6: σ_previous ← σ_current (rules of the state at arrival apply,
   // even if an earlier rule in the same state transitions away).
   const std::size_t previous = current_;
   const dsl::CompiledState& state = attack_.states[previous];
 
   const auto bucket = rule_buckets_[previous].find(msg.connection);
-  if (bucket == rule_buckets_[previous].end()) return result;  // no rule bound to n
+  if (bucket == rule_buckets_[previous].end()) return;  // no rule bound to n
 
   for (const std::uint32_t rule_index : bucket->second) {
     const dsl::CompiledRule& compiled = state.rules[rule_index];
@@ -227,7 +233,6 @@ ExecutionResult AttackExecutor::process(const lang::InFlightMessage& msg) {
       apply_action(action, result.outgoing, mod_ctx_);  // line 14
     }
   }
-  return result;
 }
 
 }  // namespace attain::inject

@@ -64,22 +64,24 @@ class AttackExecutor {
   void reset();
 
   /// Processes one incoming message (Algorithm 1 lines 4–21, minus the
-  /// actual sends, which the proxy performs with the returned list).
-  ExecutionResult process(const lang::InFlightMessage& msg);
+  /// actual sends, which the proxy performs with the returned list). Takes
+  /// ownership: unless an action mutates the frame, msg_in's envelope moves
+  /// into msg_out[0] instead of being copied. Passing a copy gives the same
+  /// result.
+  ExecutionResult process(lang::InFlightMessage msg);
 
-  /// Batch prefilter: true when process() for any message of this shape on
+  /// Guard shortcut: when process() for any message of this shape on
   /// `conn` is guaranteed to run zero rules — every rule in the current
   /// state's bucket carries a compiled program whose guard rejects the
   /// (direction, type, decodability) shape, so outgoing == [msg], no state
-  /// or storage change, no monitor events. An empty bucket qualifies
-  /// trivially. `type` is absent for sealed/undecodable frames, mirroring
-  /// InFlightMessage::payload() == nullptr in Guard::admits().
-  bool plan_guard_skip(ConnectionId conn, lang::Direction direction,
-                       std::optional<ofp::MsgType> type) const;
-
-  /// Counter mirror of process() for a message plan_guard_skip() accepted:
-  /// one processed message, every bucket rule skipped by its guard.
-  void tally_guard_skip(ConnectionId conn);
+  /// or storage change, no monitor events — counts the message exactly as
+  /// process() would (one processed, every bucket rule skipped by its
+  /// guard) and returns true. Otherwise returns false and changes nothing.
+  /// An empty bucket qualifies trivially. `type` is absent for
+  /// sealed/undecodable frames, mirroring InFlightMessage::payload() ==
+  /// nullptr in Guard::admits().
+  bool skip_by_guards(ConnectionId conn, lang::Direction direction,
+                      std::optional<ofp::MsgType> type);
 
   /// Oracle mode: evaluate conditionals with the tree-walk instead of the
   /// compiled programs (also disables the guard prefilter, restoring the
@@ -95,6 +97,9 @@ class AttackExecutor {
 
  private:
   std::uint64_t next_id() { return ++id_counter_; }
+  /// Lines 6–20 for one message: evaluates the arrival state's rules
+  /// against `msg` and applies their actions to result.outgoing.
+  void run_rules(const lang::InFlightMessage& msg, ExecutionResult& result);
 
   const dsl::CompiledAttack& attack_;
   const model::CapabilityMap& capabilities_;

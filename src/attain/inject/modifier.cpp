@@ -38,6 +38,16 @@ void record(ModifierContext& ctx, monitor::EventKind kind, std::string detail = 
   if (ctx.monitor != nullptr) ctx.monitor->record(std::move(event));
 }
 
+/// The entry's own frame, ready to mutate: a pending msg_out[0] first gets
+/// a copy of msg_in's envelope, so the edit never reaches msg_in.
+lang::InFlightMessage& frame_to_mutate(OutMessage& entry, const ModifierContext& ctx) {
+  if (entry.frame_pending && ctx.original != nullptr) {
+    entry.message.envelope = ctx.original->envelope;
+    entry.frame_pending = false;
+  }
+  return entry.message;
+}
+
 lang::Value eval_or_default(const lang::ExprPtr& expr, const ModifierContext& ctx) {
   lang::EvalContext ectx;
   ectx.message = ctx.original;
@@ -122,7 +132,7 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
     for (OutMessage& entry : out) {
       // mutable_payload() marks the cached wire bytes stale; the edited
       // message re-encodes lazily at delivery.
-      ofp::Message* payload = entry.message.mutable_payload();
+      ofp::Message* payload = frame_to_mutate(entry, ctx).mutable_payload();
       if (payload == nullptr) continue;
       if (ofp::set_field(*payload, modify->path, static_cast<ofp::FieldValue>(*as_int))) {
         any = true;
@@ -148,7 +158,7 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
       // mutable_wire() marks the decoded view stale; the receiver
       // re-decodes on demand (a fuzzed frame may be garbage, in which case
       // it sees raw corrupt bytes — exactly the capability's intent).
-      ofp::fuzz_frame(entry.message.envelope.mutable_wire(), *ctx.rng, options);
+      ofp::fuzz_frame(frame_to_mutate(entry, ctx).envelope.mutable_wire(), *ctx.rng, options);
     }
     record(ctx, monitor::EventKind::MessageFuzzed);
     return true;

@@ -21,6 +21,12 @@ namespace attain::inject {
 struct OutMessage {
   lang::InFlightMessage message;
   SimTime delay{0};
+  /// True while this entry's frame is still msg_in's: `message.envelope`
+  /// is empty, the attack executor moves msg_in's envelope in once the
+  /// rules have run, and an action that mutates the frame copies it from
+  /// ModifierContext::original first. Only the executor's msg_out[0] starts
+  /// out pending.
+  bool frame_pending{false};
 };
 
 /// Slab-backed (common/arena.hpp): one list per executor invocation on the
@@ -28,7 +34,9 @@ struct OutMessage {
 using OutMessageList = std::vector<OutMessage, mem::SlabAllocator<OutMessage>>;
 
 struct ModifierContext {
-  /// The message that triggered the rule (msg_in of Algorithm 1).
+  /// The message that triggered the rule (msg_in of Algorithm 1). Its frame
+  /// is never mutated: conditionals, append, prepend and duplicate read it
+  /// as it arrived.
   const lang::InFlightMessage* original{nullptr};
   lang::DequeStore* storage{nullptr};
   Rng* rng{nullptr};

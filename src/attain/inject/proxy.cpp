@@ -7,10 +7,12 @@ namespace attain::inject {
 
 namespace {
 
-/// The channel stage that hands every frame to the RuntimeInjector. It
-/// consumes the envelope; the injector's verdict re-enters the channel
-/// through Channel::forward() (possibly on a different channel after a
-/// redirect, possibly later after a delay).
+/// The channel stage that hands every frame to the RuntimeInjector. A frame
+/// no rule can touch passes on (the channel forward()s it, as the
+/// injector's own delivery would); any other frame is consumed, and the
+/// injector's verdict re-enters the channel through Channel::forward()
+/// (possibly on a different channel after a redirect, possibly later after
+/// a delay).
 class InjectorStage : public chan::Stage {
  public:
   InjectorStage(RuntimeInjector& injector, ConnectionId connection)
@@ -18,18 +20,11 @@ class InjectorStage : public chan::Stage {
 
   const char* name() const override { return "injector"; }
 
-  void on_envelope(chan::Channel&, chan::Direction direction, chan::Envelope envelope,
-                   const chan::EnvelopeSink&) override {
+  bool on_envelope(chan::Channel&, chan::Direction direction,
+                   chan::Envelope& envelope) override {
+    if (injector_.try_pass_through(connection_, direction, envelope)) return true;
     injector_.on_envelope(connection_, direction, std::move(envelope));
-  }
-
-  bool plan_fast(chan::Channel&, const chan::BatchShape& shape) override {
-    return injector_.plan_fast(connection_, shape);
-  }
-
-  bool on_envelope_fast(chan::Channel&, chan::Direction, chan::Envelope&) override {
-    injector_.on_envelope_fast(connection_);
-    return true;  // the channel forward()s, matching on_envelope()'s do_send
+    return false;
   }
 
  private:
@@ -162,13 +157,14 @@ void RuntimeInjector::on_envelope(ConnectionId id, chan::Direction direction,
     // A SLEEP() is in effect: queue behind it, order preserved by the
     // scheduler's FIFO tie-breaking.
     auto shared = std::make_shared<lang::InFlightMessage>(std::move(msg));
-    sched_.at(paused_until_, [this, shared] { process_now(*shared); });
+    sched_.at(paused_until_, [this, shared] { process_now(std::move(*shared)); });
     return;
   }
-  process_now(msg);
+  process_now(std::move(msg));
 }
 
-bool RuntimeInjector::plan_fast(ConnectionId id, const chan::BatchShape& shape) const {
+bool RuntimeInjector::try_pass_through(ConnectionId id, chan::Direction direction,
+                                       const chan::Envelope& envelope) {
   if (sched_.now() < paused_until_) return false;  // SLEEP() queueing in effect
   const auto endpoint = endpoints_.find(id);
   if (endpoint == endpoints_.end()) return false;
@@ -176,28 +172,33 @@ bool RuntimeInjector::plan_fast(ConnectionId id, const chan::BatchShape& shape) 
   // than in a tap stage; keep it on on_envelope().
   if (endpoint->second.channel == nullptr) return false;
   // Seal state must already match so on_envelope()'s seal step is a no-op.
-  if (endpoint->second.tls != shape.sealed) return false;
+  if (endpoint->second.tls != envelope.sealed()) return false;
   // A full-event monitor would store a MessageForwarded Event per frame.
   if (monitor_.enabled(monitor::EventKind::MessageForwarded)) return false;
-  if (!executor_) return true;  // disarmed: pure proxy
-  return executor_->plan_guard_skip(id, shape.direction, shape.type);
-}
-
-void RuntimeInjector::on_envelope_fast(ConnectionId id) {
+  if (executor_) {
+    const ofp::Message* message = envelope.message();
+    if (!executor_->skip_by_guards(
+            id, direction,
+            message != nullptr ? std::optional<ofp::MsgType>(message->type()) : std::nullopt)) {
+      return false;
+    }
+  }
   ++stats_.messages_interposed;
   ++next_message_id_;  // the id this frame would have been assigned
-  if (executor_) executor_->tally_guard_skip(id);
   ++stats_.messages_delivered;
   monitor_.tally(monitor::EventKind::MessageForwarded);
+  return true;
 }
 
-void RuntimeInjector::process_now(const lang::InFlightMessage& msg) {
+void RuntimeInjector::process_now(lang::InFlightMessage msg) {
   if (!executor_) {
     // Disarmed: pure proxy.
-    deliver(OutMessage{msg, 0});
+    deliver(OutMessage{std::move(msg), 0});
     return;
   }
-  ExecutionResult result = executor_->process(msg);
+  const ConnectionId connection = msg.connection;
+  const chan::Direction direction = msg.direction;
+  ExecutionResult result = executor_->process(std::move(msg));
   if (result.sleep > 0) {
     paused_until_ = std::max(paused_until_, sched_.now() + result.sleep);
   }
@@ -207,19 +208,19 @@ void RuntimeInjector::process_now(const lang::InFlightMessage& msg) {
   }
   const std::uint64_t before = stats_.messages_delivered;
   for (OutMessage& out : result.outgoing) {
-    deliver(out);
+    deliver(std::move(out));
   }
   if (stats_.messages_delivered == before) {
     ++stats_.messages_suppressed;
-    const auto endpoint = endpoints_.find(msg.connection);
+    const auto endpoint = endpoints_.find(connection);
     if (endpoint != endpoints_.end() && endpoint->second.channel != nullptr) {
-      endpoint->second.channel->note_suppressed(msg.direction);
+      endpoint->second.channel->note_suppressed(direction);
     }
   }
 }
 
-void RuntimeInjector::deliver(const OutMessage& out) {
-  const lang::InFlightMessage& msg = out.message;
+void RuntimeInjector::deliver(OutMessage out) {
+  lang::InFlightMessage& msg = out.message;
 
   // Resolve the carrying connection: a redirect may have retargeted the
   // message at a different switch/controller; find the matching attached
@@ -246,7 +247,8 @@ void RuntimeInjector::deliver(const OutMessage& out) {
     return;
   }
 
-  auto do_send = [this, conn, direction = msg.direction, envelope = msg.envelope]() mutable {
+  auto do_send = [this, conn, direction = msg.direction,
+                  envelope = std::move(msg.envelope)]() mutable {
     const auto ep = endpoints_.find(conn);
     if (ep == endpoints_.end()) return;
     ++stats_.messages_delivered;
@@ -270,7 +272,7 @@ void RuntimeInjector::deliver(const OutMessage& out) {
   };
 
   if (out.delay > 0) {
-    sched_.after(out.delay, do_send);
+    sched_.after(out.delay, std::move(do_send));
   } else {
     do_send();
   }

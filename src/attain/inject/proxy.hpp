@@ -63,15 +63,15 @@ class RuntimeInjector {
   /// lands here (via a channel's injector stage or the side-input sinks).
   void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope envelope);
 
-  /// Batch fast path (see chan::Stage::plan_fast): true when on_envelope()
-  /// for any frame of this shape on `id` reduces to counter bookkeeping
-  /// plus one channel forward — no SLEEP() queueing, no rule evaluation
-  /// (disarmed, or every bucketed rule guard-rejects the shape), no stored
-  /// monitor events, no redirect or suppression. The channel then calls
-  /// on_envelope_fast() per frame and forwards the envelope itself.
-  bool plan_fast(ConnectionId id, const chan::BatchShape& shape) const;
-  /// Counter mirror of one fast-pathed frame (pairs with plan_fast()).
-  void on_envelope_fast(ConnectionId id);
+  /// The injector stage's shortcut for frames no rule can touch. When
+  /// on_envelope() for this frame on `id` would reduce to counter
+  /// bookkeeping plus one channel forward — no SLEEP() queueing, no rule
+  /// evaluation (disarmed, or every bucketed rule guard-rejects the frame),
+  /// no stored monitor events, no redirect or suppression — does exactly
+  /// that bookkeeping and returns true; the caller forwards the envelope
+  /// itself. Otherwise returns false and changes nothing.
+  bool try_pass_through(ConnectionId id, chan::Direction direction,
+                        const chan::Envelope& envelope);
 
   /// Arms an attack: the executor starts at σ_start with fresh storage.
   /// Both referents must outlive the injector or a later disarm().
@@ -108,8 +108,8 @@ class RuntimeInjector {
     chan::Channel* channel{nullptr};
   };
 
-  void process_now(const lang::InFlightMessage& msg);
-  void deliver(const OutMessage& out);
+  void process_now(lang::InFlightMessage msg);
+  void deliver(OutMessage out);
   lang::InFlightMessage make_in_flight(ConnectionId id, chan::Direction direction,
                                        chan::Envelope envelope, bool tls);
 

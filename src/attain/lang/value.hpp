@@ -46,6 +46,21 @@ struct InFlightMessage {
   const ofp::Message* payload() const { return envelope.message(); }
   ofp::Message* mutable_payload() { return envelope.mutable_message(); }
   const Bytes& wire() const { return envelope.wire(); }
+
+  /// Every field but the frame, whose envelope is left empty: the msg_out
+  /// entry the attack executor holds until it knows whether msg_in's frame
+  /// must be copied or can be moved.
+  InFlightMessage without_frame() const {
+    InFlightMessage copy;
+    copy.connection = connection;
+    copy.direction = direction;
+    copy.source = source;
+    copy.destination = destination;
+    copy.timestamp = timestamp;
+    copy.id = id;
+    copy.tls = tls;
+    return copy;
+  }
 };
 
 /// Encodes an entity id as an expression-comparable integer. Guaranteed

@@ -94,7 +94,7 @@ class Monitor {
 
   /// Counter-only mirror of a MessageObserved record(): bumps the kind,
   /// type, and per-connection counters exactly as record() would, without
-  /// building the string-heavy Event. The channel's fast path calls this
+  /// building the string-heavy Event. The channel's monitor tap calls this
   /// once per frame; only valid while counters_only() is true (otherwise
   /// the event list would diverge from the record() path).
   void tally_observed(std::optional<ofp::MsgType> type, ConnectionId connection,

@@ -89,7 +89,7 @@ Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
 
 void Channel::send_from_switch(Envelope envelope) {
   ++dir_counters(Direction::SwitchToController).frames;
-  const std::size_t size = envelope.wire_size();  // the one mandatory encode
+  const std::size_t size = envelope.wire_size();
   switch_to_proxy_.send(std::move(envelope), size);
 }
 
@@ -107,41 +107,10 @@ EnvelopeSink Channel::controller_sender() {
   return [this](Envelope e) { send_from_controller(std::move(e)); };
 }
 
-void Channel::add_stage(std::unique_ptr<Stage> stage) {
-  stages_.push_back(std::move(stage));
-  const std::size_t index = stages_.size() - 1;
-  std::array<EnvelopeSink, 2> sinks;
-  for (const Direction direction :
-       {Direction::SwitchToController, Direction::ControllerToSwitch}) {
-    sinks[static_cast<std::size_t>(direction)] = [this, index, direction](Envelope e) {
-      run_stage(index + 1, direction, std::move(e));
-    };
-  }
-  next_sinks_.push_back(std::move(sinks));
-}
-
-BatchShape Channel::shape_of(Direction direction, const Envelope& envelope) {
-  BatchShape shape;
-  shape.direction = direction;
-  shape.sealed = envelope.sealed();
-  if (!shape.sealed) {
-    if (const ofp::Message* message = envelope.message()) shape.type = message->type();
-  }
-  return shape;
-}
-
-void Channel::run_fast(Direction direction, Envelope envelope) {
-  for (const std::unique_ptr<Stage>& stage : stages_) {
-    if (!stage->on_envelope_fast(*this, direction, envelope)) return;  // consumed
-  }
-  forward(direction, std::move(envelope));
-}
+void Channel::add_stage(std::unique_ptr<Stage> stage) { stages_.push_back(std::move(stage)); }
 
 void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
   DirectionCounters& counters = dir_counters(direction);
-  BatchShape plan_shape;
-  bool planned = false;
-  bool plan_ok = false;
   for (sim::BatchItem<Envelope>& item : batch) {
     Envelope& envelope = item.payload;
     if (config_.tls && !envelope.sealed()) envelope.seal();
@@ -154,40 +123,15 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
         ++counters.decode_errors;
       }
     }
-    if (stages_.empty()) {
-      forward(direction, std::move(envelope));
-      continue;
-    }
-    const BatchShape shape = shape_of(direction, envelope);
-    if (!planned || !(shape == plan_shape)) {
-      plan_shape = shape;
-      planned = true;
-      plan_ok = true;
-      for (const std::unique_ptr<Stage>& stage : stages_) {
-        if (!stage->plan_fast(*this, shape)) {
-          plan_ok = false;
-          break;
-        }
+    bool passed = true;
+    for (const std::unique_ptr<Stage>& stage : stages_) {
+      if (!stage->on_envelope(*this, direction, envelope)) {
+        passed = false;  // consumed
+        break;
       }
     }
-    if (plan_ok) {
-      run_fast(direction, std::move(envelope));
-    } else {
-      run_stage(0, direction, std::move(envelope));
-      // on_envelope() stage work may change injector/monitor state; replan.
-      planned = false;
-    }
+    if (passed) forward(direction, std::move(envelope));
   }
-}
-
-void Channel::run_stage(std::size_t index, Direction direction, Envelope envelope) {
-  if (index >= stages_.size()) {
-    forward(direction, std::move(envelope));
-    return;
-  }
-  Stage& stage = *stages_[index];
-  const EnvelopeSink& next = next_sinks_[index][static_cast<std::size_t>(direction)];
-  stage.on_envelope(*this, direction, std::move(envelope), next);
 }
 
 void Channel::forward(Direction direction, Envelope envelope) {
@@ -251,54 +195,28 @@ MonitorTapStage::MonitorTapStage(monitor::Monitor& monitor, ConnectionId connect
                                  std::function<std::uint64_t()> message_id)
     : monitor_(monitor), connection_(connection), message_id_(std::move(message_id)) {}
 
-void MonitorTapStage::on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                                  const EnvelopeSink& next) {
+bool MonitorTapStage::on_envelope(Channel& channel, Direction direction, Envelope& envelope) {
+  const ofp::Message* message = envelope.message();
+  if (monitor_.counters_only()) {
+    // record() would keep only these counters of the Event.
+    monitor_.tally_observed(
+        message != nullptr ? std::optional<ofp::MsgType>(message->type()) : std::nullopt,
+        connection_, direction);
+    return true;
+  }
   monitor::Event event;
   event.kind = monitor::EventKind::MessageObserved;
   event.time = channel.scheduler().now();
   event.connection = connection_;
   event.direction = direction;
   event.message_id = message_id_ ? message_id_() : 0;
-  if (const ofp::Message* message = envelope.message()) {
-    event.message_type = message->type();
-  }
+  if (message != nullptr) event.message_type = message->type();
   event.length = envelope.wire_size();
   monitor_.record(std::move(event));
-  next(std::move(envelope));
-}
-
-bool MonitorTapStage::plan_fast(Channel& channel, const BatchShape& shape) {
-  (void)channel;
-  (void)shape;
-  // record() stores the Event only when !counters_only; in counters-only
-  // mode tally_observed() reproduces its counter effects exactly. The
-  // message_id_() peek on_envelope() performs is side-effect free.
-  return monitor_.counters_only();
-}
-
-bool MonitorTapStage::on_envelope_fast(Channel& channel, Direction direction,
-                                       Envelope& envelope) {
-  (void)channel;
-  const ofp::Message* message = envelope.message();
-  monitor_.tally_observed(
-      message != nullptr ? std::optional<ofp::MsgType>(message->type()) : std::nullopt,
-      connection_, direction);
   return true;
 }
 
-void TraceStage::on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                             const EnvelopeSink& next) {
-  on_envelope_fast(channel, direction, envelope);
-  next(std::move(envelope));
-}
-
-bool TraceStage::plan_fast(Channel& channel, const BatchShape& shape) {
-  (void)channel;
-  (void)shape;
-  return true;
-}
-
-bool TraceStage::on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) {
+bool TraceStage::on_envelope(Channel& channel, Direction direction, Envelope& envelope) {
   TraceEntry entry;
   entry.time = channel.scheduler().now();
   entry.direction = direction;

@@ -5,13 +5,15 @@
 //          <==pipe== [                 ...                  ] <==pipe==
 //
 // Both directions traverse the same ordered stage chain at the proxy point.
-// A stage observes (monitor tap, trace) and passes the envelope to `next`,
-// or consumes it (the injector proxy stage) and later re-enters the channel
-// through forward() — possibly on a different channel, which is how
-// redirected messages travel. Endpoints attach as envelope sinks, so the
-// whole path is typed: the frame is encoded once (at the first pipe hop)
-// and decoded at most once, instead of the encode/decode/decode round-trip
-// the previous std::function<void(Bytes)> plumbing paid per frame.
+// Each stage gets the envelope by reference and either passes it on
+// (monitor tap, trace, and the injector when no rule can touch the frame)
+// or consumes it by moving it out (the injector proxy stage), to re-enter
+// the channel later through forward() — possibly on a different channel,
+// which is how redirected messages travel. Endpoints attach as envelope
+// sinks, so the whole path is typed: a typed frame is never encoded (pipes
+// size it with Envelope::wire_size()) and a raw frame is decoded at most
+// once, instead of the encode/decode/decode round-trip the previous
+// std::function<void(Bytes)> plumbing paid per frame.
 //
 // Each channel keeps per-direction counters and a bounded trace ring that
 // sweep results can serialize; both are deterministic (virtual-time stamps
@@ -91,50 +93,17 @@ class Channel;
 /// (see sim::PayloadBatch and Pipe::set_batch_receiver).
 using EnvelopeBatch = sim::PayloadBatch<Envelope>;
 
-/// The frame shape a fast-path decision is made against: direction, TLS
-/// opacity, and (for readable frames) the decoded message type. Two frames
-/// with equal shapes are indistinguishable to every stage's plan_fast().
-struct BatchShape {
-  Direction direction{Direction::SwitchToController};
-  bool sealed{false};
-  std::optional<ofp::MsgType> type;  // absent for sealed/undecodable frames
-
-  friend bool operator==(const BatchShape&, const BatchShape&) = default;
-};
-
 /// One interposition stage at the channel's proxy point. on_envelope()
-/// receives every frame (both directions) and either passes it on via
-/// `next` (zero or more times; zero consumes it) or re-enters the channel
-/// later through Channel::forward().
+/// receives every frame (both directions) by reference. It returns true to
+/// pass the envelope to the next stage (the channel forward()s after the
+/// last one), or false when it consumed the envelope: moved it out, and
+/// took over all forwarding or suppression accounting itself — typically
+/// re-entering the channel later through Channel::forward().
 class Stage {
  public:
   virtual ~Stage() = default;
   virtual const char* name() const = 0;
-  virtual void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                           const EnvelopeSink& next) = 0;
-
-  /// Fast-path contract: return true when, for every frame matching
-  /// `shape`, this stage's on_envelope() is exactly equivalent to
-  /// on_envelope_fast() — same counters, same monitor effects, same
-  /// forwarding — with no event scheduling. The channel queries all stages
-  /// once per run of same-shaped frames in a batch and falls back to
-  /// on_envelope() whenever any stage declines, so the default is safely
-  /// "no fast path".
-  virtual bool plan_fast(Channel& channel, const BatchShape& shape) {
-    (void)channel;
-    (void)shape;
-    return false;
-  }
-  /// Only called for shapes plan_fast() accepted. Returns true to pass the
-  /// envelope to the next stage (the channel forward()s after the last
-  /// stage); false when the stage consumed it and owns all forwarding or
-  /// suppression accounting itself.
-  virtual bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) {
-    (void)channel;
-    (void)direction;
-    (void)envelope;
-    return true;
-  }
+  virtual bool on_envelope(Channel& channel, Direction direction, Envelope& envelope) = 0;
 };
 
 struct ChannelConfig {
@@ -201,18 +170,12 @@ class Channel {
 
  private:
   /// The proxy point's only entry (a lone frame is a batch of one): seal
-  /// and codec accounting per envelope, then one stage plan per run of
-  /// same-shaped envelopes instead of one dispatch chain per frame. A shape
-  /// change replans; a declined plan sends that envelope down the
-  /// on_envelope() stage chain and forces a replan, since that stage work
-  /// may change injector state.
+  /// and codec accounting per envelope, then the stage chain, then
+  /// forward() unless a stage consumed the envelope.
   void arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch);
   /// The endpoints' only delivery entry: unseals each envelope and hands
   /// it to the sink.
   void deliver_batch(Direction direction, EnvelopeBatch batch);
-  static BatchShape shape_of(Direction direction, const Envelope& envelope);
-  void run_fast(Direction direction, Envelope envelope);
-  void run_stage(std::size_t index, Direction direction, Envelope envelope);
   DirectionCounters& dir_counters(Direction direction) {
     return counters_[static_cast<std::size_t>(direction)];
   }
@@ -226,11 +189,6 @@ class Channel {
   sim::Pipe<Envelope> proxy_to_controller_;
 
   std::vector<std::unique_ptr<Stage>> stages_;
-  /// Pre-bound continuation sinks, one per (stage, direction): stage i's
-  /// `next` forwards to stage i+1. Built in add_stage() so the per-frame
-  /// dispatch constructs no std::function (the capture exceeds the
-  /// small-buffer size, so building one per frame was a heap round-trip).
-  std::vector<std::array<EnvelopeSink, 2>> next_sinks_;
   EnvelopeSink switch_sink_;
   EnvelopeSink controller_sink_;
 
@@ -245,21 +203,16 @@ class Channel {
 /// Records a monitor::EventKind::MessageObserved event for every frame
 /// passing the proxy point (the §VI-B3 monitor attachment). `message_id`
 /// supplies the id the injector will assign to the frame (so tap events and
-/// injector events agree); defaults to 0 for standalone use.
+/// injector events agree); defaults to 0 for standalone use. A
+/// counters-only monitor gets the same counter bumps through
+/// tally_observed(), without building the Event it would drop.
 class MonitorTapStage : public Stage {
  public:
   MonitorTapStage(monitor::Monitor& monitor, ConnectionId connection,
                   std::function<std::uint64_t()> message_id = {});
 
   const char* name() const override { return "monitor-tap"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                   const EnvelopeSink& next) override;
-
-  /// Fast when the monitor keeps counters only: tally_observed() bumps the
-  /// same kind/type/connection counters record() would, and the Event
-  /// on_envelope() builds would be dropped anyway.
-  bool plan_fast(Channel& channel, const BatchShape& shape) override;
-  bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
+  bool on_envelope(Channel& channel, Direction direction, Envelope& envelope) override;
 
  private:
   monitor::Monitor& monitor_;
@@ -272,12 +225,7 @@ class MonitorTapStage : public Stage {
 class TraceStage : public Stage {
  public:
   const char* name() const override { return "trace"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                   const EnvelopeSink& next) override;
-
-  /// Always fast: on_envelope() is on_envelope_fast() followed by `next`.
-  bool plan_fast(Channel& channel, const BatchShape& shape) override;
-  bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
+  bool on_envelope(Channel& channel, Direction direction, Envelope& envelope) override;
 };
 
 }  // namespace attain::chan

@@ -57,6 +57,12 @@ void Envelope::ensure_wire() const {
   wire_stale_ = false;
 }
 
+std::size_t Envelope::wire_size() const {
+  if (has_wire()) return wire_->size();
+  if (message_.has_value() && !message_stale_) return ofp::wire_size(*message_);
+  return wire_.has_value() ? wire_->size() : 0;
+}
+
 const Bytes& Envelope::wire() const {
   ensure_wire();
   return *wire_;

@@ -4,8 +4,10 @@
 // lazily, caching the result. The byte pipeline it replaces paid a full
 // encode at the switch, a decode at the injector proxy, and another decode
 // at the controller for every interposed frame; an envelope built from a
-// typed message pays exactly one encode (at the first pipe hop, which needs
-// the wire size) and zero decodes on the happy path.
+// typed message pays no codec call on the happy path. Its wire size comes
+// from the typed view (ofp::wire_size), so pipe serialization, traces and
+// MESSAGELENGTH never encode; bytes materialize only when someone asks for
+// them with wire() or mutable_wire() (e.g. FUZZ).
 //
 // Cache coherence: mutable_message() marks the wire bytes stale (they are
 // re-encoded from the mutated message on the next wire() call) and
@@ -73,7 +75,11 @@ class Envelope {
   /// Mutable wire bytes for fuzzing; materializes them first and marks the
   /// decoded view stale so the next message() re-decodes.
   Bytes& mutable_wire();
-  std::size_t wire_size() const { return wire().size(); }
+  /// The frame's length on the wire, answered from whichever view is
+  /// current without a codec call: the cached bytes, else
+  /// ofp::wire_size() of the decoded view (which throws where encode()
+  /// would). An empty envelope has size 0.
+  std::size_t wire_size() const;
 
   /// TLS opacity: while sealed, message()/mutable_message() return nullptr.
   /// The cached decoded view is hidden, not destroyed — unseal() restores

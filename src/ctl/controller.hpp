@@ -99,8 +99,9 @@ class Controller {
     (void)reply;
   }
 
-  /// Sends a message on a connection (counted, encoded).
-  void send(ConnHandle conn, const ofp::Message& msg);
+  /// Sends a message on a connection (counted); the message moves into the
+  /// envelope as its typed view.
+  void send(ConnHandle conn, ofp::Message msg);
   std::uint32_t next_xid() { return xid_++; }
 
   sim::Scheduler& sched() { return sched_; }

@@ -50,6 +50,7 @@ void FloodlightForwarding::on_packet_in(ConnHandle conn, const ofp::PacketIn& pi
       const PortRef origin{origin_dpid, origin_port};
       if (!links_.contains(origin) || links_.at(origin) != here) {
         links_[origin] = here;
+        routes_.clear();
         ATTAIN_LOG(Debug, name()) << "discovered link dpid" << origin_dpid << ":" << origin_port
                                   << " -> dpid" << dpid << ":" << pin.in_port;
       }
@@ -83,7 +84,7 @@ void FloodlightForwarding::on_packet_in(ConnHandle conn, const ofp::PacketIn& pi
   // Floodlight's route push) toward the destination attachment point.
   const auto src_it = device_table_.find(packet.eth.src.to_u64());
   const PortRef src_ap = src_it != device_table_.end() ? src_it->second : here;
-  const std::vector<PathHop> hops = route(src_ap, dst_it->second);
+  const mem::vector<PathHop> hops = route(src_ap, dst_it->second);
   if (hops.empty()) {
     flood_here();
     return;
@@ -131,43 +132,53 @@ void FloodlightForwarding::on_port_status(ConnHandle conn, const ofp::PortStatus
   const PortRef here{dpid_of(conn), status.desc.port_no};
   links_.erase(here);
   std::erase_if(links_, [&](const auto& entry) { return entry.second == here; });
+  routes_.clear();
   std::erase_if(device_table_, [&](const auto& entry) { return entry.second == here; });
   ATTAIN_LOG(Debug, name()) << "port down: dpid" << here.dpid << ":" << here.port
                             << "; purged topology state";
 }
 
-std::vector<FloodlightForwarding::PathHop> FloodlightForwarding::route(PortRef from,
-                                                                       PortRef to) const {
-  if (from.dpid == to.dpid) {
-    return {PathHop{from.dpid, from.port, to.port}};
+mem::vector<FloodlightForwarding::PathHop> FloodlightForwarding::route(PortRef from, PortRef to) {
+  auto [cached, inserted] = routes_.try_emplace({from.dpid, to.dpid});
+  if (inserted) cached->second = bfs(from.dpid, to.dpid);
+  mem::vector<PathHop> path = cached->second;
+  if (!path.empty()) {
+    path.front().in_port = from.port;
+    path.back().out_port = to.port;
   }
+  return path;
+}
+
+mem::vector<FloodlightForwarding::PathHop> FloodlightForwarding::bfs(
+    std::uint64_t from_dpid, std::uint64_t to_dpid) const {
+  if (from_dpid == to_dpid) return {PathHop{from_dpid, 0, 0}};
   struct Visit {
     std::uint64_t prev_dpid;
     std::uint16_t prev_out_port;
     std::uint16_t in_port;
   };
   std::map<std::uint64_t, Visit> visited;
-  visited[from.dpid] = Visit{from.dpid, 0, from.port};
-  std::deque<std::uint64_t> frontier{from.dpid};
+  visited[from_dpid] = Visit{from_dpid, 0, 0};
+  std::deque<std::uint64_t> frontier{from_dpid};
   while (!frontier.empty()) {
     const std::uint64_t dpid = frontier.front();
     frontier.pop_front();
-    if (dpid == to.dpid) break;
+    if (dpid == to_dpid) break;
     for (const auto& [a, b] : links_) {
       if (a.dpid != dpid || visited.contains(b.dpid)) continue;
       visited[b.dpid] = Visit{dpid, a.port, b.port};
       frontier.push_back(b.dpid);
     }
   }
-  if (!visited.contains(to.dpid)) return {};
+  if (!visited.contains(to_dpid)) return {};
 
-  std::vector<PathHop> path;
-  std::uint64_t dpid = to.dpid;
-  std::uint16_t out_port = to.port;
+  mem::vector<PathHop> path;
+  std::uint64_t dpid = to_dpid;
+  std::uint16_t out_port = 0;
   while (true) {
     const Visit& v = visited.at(dpid);
     path.push_back(PathHop{dpid, v.in_port, out_port});
-    if (dpid == from.dpid) break;
+    if (dpid == from_dpid) break;
     out_port = v.prev_out_port;
     dpid = v.prev_dpid;
   }

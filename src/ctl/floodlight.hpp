@@ -64,12 +64,19 @@ class FloodlightForwarding : public Controller {
 
   void send_lldp_probes(ConnHandle conn);
   bool is_internal_port(PortRef ref) const { return links_.contains(ref); }
-  /// BFS over discovered links from `from` (entering on from.port) to the
-  /// switch of `to`, leaving on to.port. Empty if not connected.
-  std::vector<PathHop> route(PortRef from, PortRef to) const;
+  /// Shortest path over discovered links from `from` (entering on
+  /// from.port) to the switch of `to`, leaving on to.port. Empty if not
+  /// connected. The BFS hop list is cached per (from.dpid, to.dpid) until
+  /// links_ changes; the ports at the two ends come from the arguments.
+  mem::vector<PathHop> route(PortRef from, PortRef to);
+  /// The BFS behind route(): the end ports are left 0.
+  mem::vector<PathHop> bfs(std::uint64_t from_dpid, std::uint64_t to_dpid) const;
 
   mem::map<std::uint64_t, ConnHandle> conn_by_dpid_;
   mem::map<PortRef, PortRef> links_;               // discovered topology
+  /// route() cache keyed by (source dpid, destination dpid); cleared
+  /// whenever links_ changes.
+  mem::map<std::pair<std::uint64_t, std::uint64_t>, mem::vector<PathHop>> routes_;
   mem::map<std::uint64_t, PortRef> device_table_;  // MAC -> attachment point
   std::uint64_t lldp_probes_sent_{0};
 };

@@ -433,12 +433,9 @@ Body decode_body(MsgType type, ByteReader& r) {
   throw DecodeError("unknown message type " + std::to_string(static_cast<int>(type)));
 }
 
-/// Upper-bound body sizes for the pre-encode reserve() in encode(). Exact
-/// for every hot-path message (PacketIn/Out, FlowMod, EchoRequest/Reply);
-/// variable-length stats replies fall back to a per-entry bound. A hint
-/// only sizes the buffer, so an overestimate costs slack bytes, never
-/// correctness — but keeping it tight keeps slab classes small.
-struct BodySizeHint {
+/// Exact body sizes: the bytes BodyEncoder writes for each message, so
+/// wire_size() answers without encoding and encode() reserves exactly once.
+struct BodySize {
   std::size_t operator()(const Hello&) const { return 0; }
   std::size_t operator()(const Error& m) const { return 4 + m.data.size(); }
   std::size_t operator()(const EchoRequest& m) const { return m.data.size(); }
@@ -459,7 +456,15 @@ struct BodySizeHint {
     return 64 + actions_wire_size(m.actions);
   }
   std::size_t operator()(const PortMod&) const { return 24; }
-  std::size_t operator()(const StatsRequest&) const { return 48; }
+  std::size_t operator()(const StatsRequest& m) const {
+    struct Sub {
+      std::size_t operator()(const DescStatsRequest&) const { return 0; }
+      std::size_t operator()(const FlowStatsRequest&) const { return 44; }
+      std::size_t operator()(const AggregateStatsRequest&) const { return 44; }
+      std::size_t operator()(const PortStatsRequest&) const { return 8; }
+    };
+    return 4 + std::visit(Sub{}, m.body);
+  }
   std::size_t operator()(const StatsReply& m) const {
     struct Sub {
       std::size_t operator()(const DescStats&) const { return 1056; }
@@ -488,17 +493,22 @@ CodecOpCounters& codec_ops() {
 
 void reset_codec_ops() { codec_ops() = CodecOpCounters{}; }
 
+std::size_t wire_size(const Message& message) {
+  const std::size_t size = kHeaderSize + std::visit(BodySize{}, message.body);
+  if (size > 0xffff) throw std::length_error("OpenFlow message exceeds 64 KiB");
+  return size;
+}
+
 Bytes encode(const Message& message) {
   ++codec_ops().encodes;
+  const std::size_t size = wire_size(message);
   ByteWriter w;
-  w.reserve(kHeaderSize + std::visit(BodySizeHint{}, message.body));
+  w.reserve(size);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(message.type()));
-  w.u16(0);  // length patched below
+  w.u16(static_cast<std::uint16_t>(size));
   w.u32(message.xid);
   std::visit(BodyEncoder{w}, message.body);
-  if (w.size() > 0xffff) throw std::length_error("OpenFlow message exceeds 64 KiB");
-  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
   return std::move(w).take();
 }
 

@@ -33,6 +33,10 @@ struct CodecOpCounters {
 CodecOpCounters& codec_ops();
 void reset_codec_ops();
 
+/// The exact length of encode(message), computed without encoding. Throws
+/// std::length_error where encode() does: a message over 64 KiB.
+std::size_t wire_size(const Message& message);
+
 /// Serializes a message (header + body) to wire bytes.
 Bytes encode(const Message& message);
 

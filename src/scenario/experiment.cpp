@@ -100,9 +100,9 @@ void Testbed::build() {
   // Control-plane connections: switch <-> proxy <-> controller, one
   // chan::Channel per connection (two duplex pipe segments inside). The
   // switch never talks to the controller directly — exactly the paper's
-  // deployment. Frames travel as decode-once envelopes: the sender's
-  // encode is the only mandatory codec op; the proxy and the far endpoint
-  // reuse the cached typed view.
+  // deployment. Frames travel as decode-once envelopes: a typed frame is
+  // sized without encoding, and the proxy and the far endpoint reuse its
+  // cached typed view.
   for (const topo::ControlConnSpec& conn : model_.control_connections()) {
     swsim::OpenFlowSwitch* sw = switches_[conn.id.sw.index].get();
 

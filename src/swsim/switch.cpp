@@ -34,10 +34,10 @@ void OpenFlowSwitch::connect() {
   schedule_expiry();
 }
 
-void OpenFlowSwitch::send_message(const ofp::Message& msg) {
+void OpenFlowSwitch::send_message(ofp::Message msg) {
   if (!send_control_) return;
   ++counters_.control_tx;
-  send_control_(chan::Envelope(msg));  // wire bytes materialize at the first pipe hop
+  send_control_(chan::Envelope(std::move(msg)));  // typed: no encode unless bytes are asked for
 }
 
 void OpenFlowSwitch::on_control_envelope(chan::Envelope envelope) {

@@ -142,7 +142,7 @@ class OpenFlowSwitch {
   /// region is `data_size` bytes; nullptr when the shape is unstampable.
   ofp::StampedTemplate* miss_template(std::size_t data_size);
   void standalone_forward(const pkt::Packet& packet, std::uint16_t in_port);
-  void send_message(const ofp::Message& msg);
+  void send_message(ofp::Message msg);
   void send_flow_removed(const ExpiredEntry& expired);
   void schedule_echo();
   void schedule_expiry();

@@ -116,8 +116,8 @@ struct WireHarness {
     config.num_ports = 4;
     sw = std::make_unique<swsim::OpenFlowSwitch>(sched, config);
     sw->set_control_sender([this](chan::Envelope e) {
-      // Compare what actually crosses the wire: force the frame encode the
-      // first pipe hop would perform.
+      // Compare what actually crosses the wire: materialize the frame's
+      // bytes.
       control_wire.push_back(e.wire());
     });
     sw->connect();

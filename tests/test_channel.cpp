@@ -1,8 +1,12 @@
 // chan:: pipeline tests: envelope cache coherence (decode-once, lazy
-// re-encode, seal/unseal), the fuzzed-corpus round-trip property, the
+// re-encode, seal/unseal), the fuzzed-corpus round-trip property, exact
+// wire sizes without encoding, the
 // shared ingress helper, stage composition, and the codec-op savings the
 // decode-once path buys on the paper's Table II scenario.
 #include "chan/channel.hpp"
+
+#include <algorithm>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -129,7 +133,9 @@ TEST(Envelope, SealHidesMessageWithoutDiscardingCache) {
 // envelope always returns its original bytes.
 // ---------------------------------------------------------------------------
 
-TEST(Envelope, FuzzedCorpusRoundTripProperty) {
+/// Pristine frames of a few types plus bit-flipped variants, some of which
+/// still decode.
+std::vector<Bytes> fuzzed_corpus(std::size_t& pristine_count) {
   Rng rng(0xc0ffee);
   std::vector<Bytes> corpus;
   corpus.push_back(ofp::encode(ofp::make_message(1, ofp::Hello{})));
@@ -152,6 +158,13 @@ TEST(Envelope, FuzzedCorpusRoundTripProperty) {
       corpus.push_back(std::move(mutated));
     }
   }
+  pristine_count = pristine;
+  return corpus;
+}
+
+TEST(Envelope, FuzzedCorpusRoundTripProperty) {
+  std::size_t pristine = 0;
+  const std::vector<Bytes> corpus = fuzzed_corpus(pristine);
 
   std::size_t decodable = 0;
   for (const Bytes& frame : corpus) {
@@ -171,6 +184,190 @@ TEST(Envelope, FuzzedCorpusRoundTripProperty) {
     EXPECT_EQ(env.wire(), ofp::encode(*env.message()));
   }
   EXPECT_GE(decodable, pristine);  // at least every pristine frame decodes
+}
+
+// ---------------------------------------------------------------------------
+// Exact size without encoding: ofp::wire_size(m) == ofp::encode(m).size() for
+// every message type, and a typed envelope answers wire_size() with no codec
+// call.
+// ---------------------------------------------------------------------------
+
+/// One action of every OF1.0 type (8- and 16-byte encodings).
+ofp::ActionList every_action() {
+  ofp::ActionList actions;
+  actions.push_back(ofp::ActionOutput{3, 0xffff});
+  actions.push_back(ofp::ActionSetVlanVid{7});
+  actions.push_back(ofp::ActionSetVlanPcp{2});
+  actions.push_back(ofp::ActionStripVlan{});
+  actions.push_back(ofp::ActionSetDlSrc{pkt::MacAddress::from_u64(0x11)});
+  actions.push_back(ofp::ActionSetDlDst{pkt::MacAddress::from_u64(0x22)});
+  actions.push_back(ofp::ActionSetNwSrc{pkt::Ipv4Address{0x0a000001}});
+  actions.push_back(ofp::ActionSetNwDst{pkt::Ipv4Address{0x0a000002}});
+  actions.push_back(ofp::ActionSetNwTos{0x10});
+  actions.push_back(ofp::ActionSetTpSrc{80});
+  actions.push_back(ofp::ActionSetTpDst{443});
+  actions.push_back(ofp::ActionEnqueue{1, 9});
+  return actions;
+}
+
+/// Every message type, every StatsRequest/StatsReply body, and the empty
+/// and the largest (exactly 64 KiB - 1 on the wire) payload of each
+/// variable-length type.
+std::vector<ofp::Message> every_message_shape() {
+  using namespace ofp;
+  constexpr std::size_t kMaxWire = 0xffff;
+  std::vector<Message> msgs;
+  std::uint32_t xid = 1;
+  auto add = [&](Body body) { msgs.push_back(Message{xid++, std::move(body)}); };
+
+  add(Hello{});
+  add(Error{ErrorType::BadRequest, 1, {}});
+  add(Error{ErrorType::FlowModFailed, 3, Bytes(kMaxWire - 12, 0xee)});
+  add(EchoRequest{{}});
+  add(EchoRequest{Bytes(kMaxWire - 8, 1)});
+  add(EchoReply{{}});
+  add(EchoReply{Bytes(kMaxWire - 8, 2)});
+  add(Vendor{0x2320, {}});
+  add(Vendor{0x2320, Bytes(kMaxWire - 12, 3)});
+  add(FeaturesRequest{});
+  for (const std::size_t ports : {std::size_t{0}, std::size_t{4}, (kMaxWire - 32) / 48}) {
+    FeaturesReply reply;
+    reply.datapath_id = 0xabc;
+    for (std::size_t i = 0; i < ports; ++i) {
+      PhyPort port;
+      port.port_no = static_cast<std::uint16_t>(i + 1);
+      port.name = i % 2 == 0 ? "eth" + std::to_string(i) : std::string(40, 'x');  // truncated
+      reply.ports.push_back(port);
+    }
+    add(std::move(reply));
+  }
+  add(GetConfigRequest{});
+  add(GetConfigReply{0, 128});
+  add(SetConfig{0, 128});
+  for (const std::size_t data : {std::size_t{0}, std::size_t{60}, kMaxWire - 18}) {
+    PacketIn pin;
+    pin.data = Bytes(data, 4);
+    pin.total_len = static_cast<std::uint16_t>(data);
+    add(std::move(pin));
+  }
+  add(FlowRemoved{});
+  {
+    PortStatus status;
+    status.desc.name = "s1-eth1";
+    add(std::move(status));
+  }
+  {
+    PacketOut out;
+    add(out);
+    out.actions = every_action();
+    add(out);
+    out.data = Bytes(kMaxWire - 16 - actions_wire_size(out.actions), 5);
+    add(std::move(out));
+  }
+  {
+    FlowMod mod;
+    add(mod);
+    mod.actions = every_action();
+    add(std::move(mod));
+  }
+  add(PortMod{});
+  add(StatsRequest{0, DescStatsRequest{}});
+  add(StatsRequest{0, FlowStatsRequest{}});
+  add(StatsRequest{0, AggregateStatsRequest{}});
+  add(StatsRequest{0, PortStatsRequest{1}});
+  {
+    DescStats desc;
+    desc.mfr_desc = "ATTAIN";
+    desc.serial_num = std::string(64, 's');  // longer than its 32-byte field
+    add(StatsReply{0, desc});
+  }
+  add(StatsReply{0, std::vector<FlowStatsEntry>{}});
+  {
+    std::vector<FlowStatsEntry> entries(3);
+    entries[1].actions = every_action();
+    entries[2].actions = ofp::output_to(std::uint16_t{2});
+    add(StatsReply{0, std::move(entries)});
+  }
+  add(StatsReply{0, AggregateStats{100, 15000, 3}});
+  add(StatsReply{0, std::vector<PortStatsEntry>{}});
+  add(StatsReply{0, std::vector<PortStatsEntry>((kMaxWire - 12) / 56)});
+  add(BarrierRequest{});
+  add(BarrierReply{});
+  return msgs;
+}
+
+TEST(WireSize, MatchesEncodeForEveryMessageShape) {
+  std::set<ofp::MsgType> types;
+  std::size_t largest = 0;
+  for (const ofp::Message& message : every_message_shape()) {
+    types.insert(message.type());
+    const std::size_t size = ofp::wire_size(message);
+    EXPECT_EQ(size, ofp::encode(message).size()) << message.summary();
+    largest = std::max(largest, size);
+  }
+  EXPECT_EQ(types.size(), static_cast<std::size_t>(ofp::MsgType::BarrierReply) + 1);
+  EXPECT_EQ(largest, 0xffffu);  // the maximal payloads sit exactly at the limit
+}
+
+TEST(WireSize, ThrowsWhereEncodeThrows) {
+  using namespace ofp;
+  std::vector<Message> oversize;
+  oversize.push_back(make_message(1, EchoRequest{Bytes(0xffff - 7, 1)}));  // one byte over
+  oversize.push_back(make_message(2, Error{ErrorType::BadRequest, 0, Bytes(0xffff - 11, 0)}));
+  oversize.push_back(make_message(3, Vendor{1, Bytes(0x10000, 0)}));
+  PacketIn pin;
+  pin.data = Bytes(0xffff - 17, 0);
+  oversize.push_back(make_message(4, std::move(pin)));
+  FeaturesReply features;
+  features.ports.resize((0xffff - 32) / 48 + 1);
+  oversize.push_back(make_message(5, std::move(features)));
+  oversize.push_back(
+      make_message(6, StatsReply{0, std::vector<PortStatsEntry>((0xffff - 12) / 56 + 1)}));
+  std::vector<FlowStatsEntry> flows((0xffff - 12) / 88 + 1);
+  oversize.push_back(make_message(7, StatsReply{0, std::move(flows)}));
+  for (const Message& message : oversize) {
+    EXPECT_THROW(wire_size(message), std::length_error) << message.summary();
+    EXPECT_THROW(encode(message), std::length_error) << message.summary();
+    EXPECT_THROW(chan::Envelope(message).wire_size(), std::length_error) << message.summary();
+  }
+}
+
+TEST(WireSize, MatchesEncodeOverTheFuzzedCorpus) {
+  std::size_t pristine = 0;
+  std::size_t decodable = 0;
+  for (const Bytes& frame : fuzzed_corpus(pristine)) {
+    Envelope raw(frame);
+    EXPECT_EQ(raw.wire_size(), frame.size());  // raw origin: the bytes' own size
+    const ofp::Message* message = raw.message();
+    if (message == nullptr) continue;
+    ++decodable;
+    EXPECT_EQ(ofp::wire_size(*message), ofp::encode(*message).size());
+    EXPECT_EQ(Envelope(*message).wire_size(), ofp::encode(*message).size());
+  }
+  EXPECT_GE(decodable, pristine);
+}
+
+TEST(WireSize, TypedEnvelopeAnswersWithoutCodecOps) {
+  for (const ofp::Message& message : every_message_shape()) {
+    Envelope env(message);
+    const auto before = ofp::codec_ops();
+    const std::size_t size = env.wire_size();
+    EXPECT_EQ(ops_since(before), 0u) << message.summary();
+    EXPECT_FALSE(env.has_wire());  // still no bytes
+    EXPECT_EQ(size, env.wire().size());
+  }
+  // A mutated typed view is sized from the edit, a mutated wire from the
+  // bytes.
+  Envelope edited(sample_flow_mod());
+  edited.wire();
+  std::get<ofp::FlowMod>(edited.mutable_message()->body).actions = every_action();
+  const auto before = ofp::codec_ops();
+  EXPECT_EQ(edited.wire_size(), 72u + ofp::actions_wire_size(every_action()));
+  EXPECT_EQ(ops_since(before), 0u);
+  Envelope fuzzed(sample_flow_mod());
+  fuzzed.mutable_wire().push_back(0);
+  EXPECT_EQ(fuzzed.wire_size(), ofp::encode(sample_flow_mod()).size() + 1);
+  EXPECT_EQ(Envelope().wire_size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +432,9 @@ class RecordingStage : public Stage {
   RecordingStage(std::vector<std::string>& order, std::string tag)
       : order_(order), tag_(std::move(tag)) {}
   const char* name() const override { return tag_.c_str(); }
-  void on_envelope(Channel&, Direction, Envelope envelope, const EnvelopeSink& next) override {
+  bool on_envelope(Channel&, Direction, Envelope&) override {
     order_.push_back(tag_);
-    next(std::move(envelope));
+    return true;
   }
 
  private:
@@ -245,12 +442,14 @@ class RecordingStage : public Stage {
   std::string tag_;
 };
 
-/// Consumes every frame (never calls next).
+/// Consumes every frame (moves it out and drops it).
 class BlackHoleStage : public Stage {
  public:
   const char* name() const override { return "black-hole"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope, const EnvelopeSink&) override {
+  bool on_envelope(Channel& channel, Direction direction, Envelope& envelope) override {
+    Envelope swallowed = std::move(envelope);
     channel.note_suppressed(direction);
+    return false;
   }
 };
 
@@ -330,9 +529,9 @@ TEST(Channel, TlsSealsAtProxyAndUnsealsAtDelivery) {
    public:
     explicit Probe(bool& saw) : saw_(saw) {}
     const char* name() const override { return "probe"; }
-    void on_envelope(Channel&, Direction, Envelope envelope, const EnvelopeSink& next) override {
+    bool on_envelope(Channel&, Direction, Envelope& envelope) override {
       saw_ = envelope.message() != nullptr;
-      next(std::move(envelope));
+      return true;
     }
 
    private:

@@ -1,5 +1,7 @@
 #include "attain/inject/executor.hpp"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "attain/dsl/parser.hpp"
@@ -41,11 +43,12 @@ struct Fixture {
     return msg;
   }
 
-  ofp::Message flow_mod() {
+  ofp::Message flow_mod(std::uint32_t xid = 5) {
     ofp::FlowMod mod;
     mod.match = ofp::Match::wildcard_all();
+    mod.idle_timeout = 10;
     mod.actions = ofp::output_to(std::uint16_t{2});
-    return ofp::make_message(5, std::move(mod));
+    return ofp::make_message(xid, std::move(mod));
   }
 
   std::uint64_t next_id{0};
@@ -389,6 +392,157 @@ attack demo {
   ASSERT_EQ(r.outgoing.size(), 2u);
   EXPECT_EQ(r.outgoing[0].message.wire(), r.outgoing[1].message.wire());
   EXPECT_NE(r.outgoing[0].message.id, r.outgoing[1].message.id);
+}
+
+// ---------------------------------------------------------------------------
+// Ownership: process() takes msg_in by value. Handing over the message must
+// give exactly what handing over a copy gives, and no action may reach the
+// caller's copy of msg_in.
+// ---------------------------------------------------------------------------
+
+std::string render_message(const lang::InFlightMessage& m) {
+  std::ostringstream out;
+  out << "id=" << m.id << " conn=" << m.connection.sw.index
+      << " dir=" << static_cast<int>(m.direction) << " src=" << m.source.index
+      << " dst=" << m.destination.index << " t=" << m.timestamp << " tls=" << m.tls
+      << " len=" << m.length() << " wire=" << to_hex(m.wire());
+  return out.str();
+}
+
+std::vector<std::string> render_outgoing(const ExecutionResult& result) {
+  std::vector<std::string> lines;
+  for (const OutMessage& out : result.outgoing) {
+    EXPECT_FALSE(out.frame_pending);  // process() settles every entry
+    lines.push_back(render_message(out.message) + " delay=" + std::to_string(out.delay));
+  }
+  return lines;
+}
+
+/// Every deque's contents, front to back (a copy of the store is drained).
+std::vector<std::string> render_deques(const lang::DequeStore& storage) {
+  lang::DequeStore drained = storage;
+  std::vector<std::string> lines;
+  for (const std::string& name : drained.names()) {
+    while (!drained.empty(name)) {
+      const lang::Value value = drained.shift(name);
+      if (const auto* stored = std::get_if<lang::StoredMessage>(&value)) {
+        lines.push_back(name + ": " + render_message(**stored));
+      } else if (const auto* number = std::get_if<std::int64_t>(&value)) {
+        lines.push_back(name + ": " + std::to_string(*number));
+      } else {
+        lines.push_back(name + ": " + std::get<std::string>(value));
+      }
+    }
+  }
+  return lines;
+}
+
+std::string one_rule_attack(const std::string& actions) {
+  return R"(
+attacker { on (c1, s1) grant no_tls; on (c1, s3) grant no_tls; }
+attack demo {
+  deque q;
+  start state s {
+    rule phi on (c1, s1) { when msg.type == FLOW_MOD; do { )" +
+         actions + R"( } }
+  }
+}
+)";
+}
+
+TEST(ExecutorOwnership, HandingOverEqualsHandingOverACopyForEveryTableIAction) {
+  const std::vector<std::string> action_lists = {
+      "drop(msg);",
+      "pass(msg);",
+      "delay(msg, 2 ms);",
+      "duplicate(msg);",
+      "modify(msg, \"idle_timeout\", 77);",
+      "redirect(msg, s3);",
+      "fuzz(msg, 16);",
+      "inject(hello, to_switch);",
+      "append(q, msg); peek_send_front(q);",
+      "append(q, msg); send_end(q);",
+      "append(q, msg);",
+      "prepend(q, msg);",
+      "delay(msg, 1 ms); duplicate(msg); modify(msg, \"priority\", 9); fuzz(msg, 4);",
+      "drop(msg); duplicate(msg); append(q, msg); peek_send_front(q);",
+  };
+  for (const std::string& actions : action_lists) {
+    for (const bool wire_origin : {false, true}) {
+      SCOPED_TRACE(actions + (wire_origin ? " (wire origin)" : " (typed origin)"));
+      Fixture by_copy;
+      Fixture by_move;
+      AttackExecutor copy_exec = by_copy.make(one_rule_attack(actions));
+      AttackExecutor move_exec = by_move.make(one_rule_attack(actions));
+      for (const std::uint32_t xid : {5u, 6u}) {
+        lang::InFlightMessage kept = by_copy.message(
+            "s1", lang::Direction::ControllerToSwitch, by_copy.flow_mod(xid));
+        lang::InFlightMessage handed = by_move.message(
+            "s1", lang::Direction::ControllerToSwitch, by_move.flow_mod(xid));
+        if (wire_origin) {
+          kept.envelope = chan::Envelope(ofp::encode(by_copy.flow_mod(xid)));
+          handed.envelope = chan::Envelope(ofp::encode(by_move.flow_mod(xid)));
+        }
+        const std::string kept_before = render_message(kept);
+
+        const ExecutionResult from_copy = copy_exec.process(kept);
+        const ExecutionResult from_move = move_exec.process(std::move(handed));
+        EXPECT_EQ(render_outgoing(from_copy), render_outgoing(from_move));
+        EXPECT_EQ(render_message(kept), kept_before);  // the caller's msg_in is untouched
+      }
+      EXPECT_EQ(render_deques(copy_exec.storage()), render_deques(move_exec.storage()));
+      EXPECT_EQ(by_copy.monitor.to_csv(), by_move.monitor.to_csv());
+      EXPECT_GT(by_copy.monitor.count(monitor::EventKind::RuleMatched), 0u);
+    }
+  }
+}
+
+std::uint16_t idle_timeout_of(const lang::InFlightMessage& m) {
+  return ofp::decode(m.wire()).as<ofp::FlowMod>().idle_timeout;
+}
+
+TEST(ExecutorOwnership, StoredSnapshotNeverSeesALaterOrEarlierModify) {
+  // append/prepend store a snapshot of msg_in (Algorithm 1), which no
+  // action mutates: the modify reaches msg_out only, in either order.
+  for (const std::string actions :
+       {"append(q, msg); modify(msg, \"idle_timeout\", 77);",
+        "modify(msg, \"idle_timeout\", 77); append(q, msg);"}) {
+    SCOPED_TRACE(actions);
+    Fixture fx;
+    AttackExecutor exec = fx.make(one_rule_attack(actions));
+    const ExecutionResult result = exec.process(
+        fx.message("s1", lang::Direction::ControllerToSwitch, fx.flow_mod()));
+    ASSERT_EQ(result.outgoing.size(), 1u);
+    EXPECT_EQ(idle_timeout_of(result.outgoing[0].message), 77);
+    const lang::Value stored = exec.storage().examine_front("q");
+    EXPECT_EQ(idle_timeout_of(*std::get<lang::StoredMessage>(stored)), 10);
+  }
+}
+
+TEST(ExecutorOwnership, DuplicateCopiesMsgInNotTheModifiedOutgoingFrame) {
+  Fixture fx;
+  AttackExecutor exec = fx.make(
+      one_rule_attack("modify(msg, \"idle_timeout\", 77); duplicate(msg);"));
+  const ExecutionResult result =
+      exec.process(fx.message("s1", lang::Direction::ControllerToSwitch, fx.flow_mod()));
+  ASSERT_EQ(result.outgoing.size(), 2u);
+  EXPECT_EQ(idle_timeout_of(result.outgoing[0].message), 77);
+  EXPECT_EQ(idle_timeout_of(result.outgoing[1].message), 10);  // the duplicate is msg_in's
+}
+
+TEST(ExecutorOwnership, ModifyAfterDuplicateRewritesEveryOutgoingEntry) {
+  // modify applies to every msg_out entry, so a duplicate made before it is
+  // rewritten too; its frame is its own copy, not msg_in's.
+  Fixture fx;
+  AttackExecutor exec = fx.make(
+      one_rule_attack("duplicate(msg); modify(msg, \"idle_timeout\", 77); append(q, msg);"));
+  const ExecutionResult result =
+      exec.process(fx.message("s1", lang::Direction::ControllerToSwitch, fx.flow_mod()));
+  ASSERT_EQ(result.outgoing.size(), 2u);
+  EXPECT_EQ(idle_timeout_of(result.outgoing[0].message), 77);
+  EXPECT_EQ(idle_timeout_of(result.outgoing[1].message), 77);
+  const lang::Value stored = exec.storage().examine_front("q");
+  EXPECT_EQ(idle_timeout_of(*std::get<lang::StoredMessage>(stored)), 10);
 }
 
 }  // namespace

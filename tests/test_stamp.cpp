@@ -3,7 +3,7 @@
 // instance, emit_wire() must equal the full encode of an identically-built
 // message/packet — across all stampable message types, >=10k instances
 // total — and stamping must never reallocate the template's wire buffer
-// (the BodySizeHint pre-reservation is exact for the stampable types, so
+// (encode() reserves exactly ofp::wire_size() bytes, so
 // the prototype encode already owns all the bytes it will ever need).
 #include "ofp/stamp.hpp"
 
@@ -211,8 +211,8 @@ TEST(StampedTemplate, MismatchedDataLengthIsRejected) {
   EXPECT_EQ(tmpl.wire(), before) << "rejected stamp must leave the wire untouched";
 }
 
-// The BodySizeHint pre-reservation is exact for the stampable hot-path
-// types, so (a) a full encode never reallocates past its reserve and (b)
+// encode() reserves exactly ofp::wire_size() bytes, so (a) a full encode
+// never reallocates past its reserve and (b)
 // the template's wire buffer never moves across any number of stamps.
 TEST(StampedTemplate, ExactSizeHintMeansStampedEmitNeverReallocates) {
   ofp::PacketIn pin;
@@ -221,7 +221,7 @@ TEST(StampedTemplate, ExactSizeHintMeansStampedEmitNeverReallocates) {
   const ofp::Message msg{7, std::move(pin)};
   const Bytes encoded = ofp::encode(msg);
   EXPECT_EQ(encoded.capacity(), encoded.size())
-      << "BodySizeHint must be exact for PACKET_IN so the reserve is the allocation";
+      << "wire_size() must be exact for PACKET_IN so the reserve is the allocation";
 
   ofp::StampedTemplate tmpl(msg);
   const std::uint8_t* const wire_storage = tmpl.wire().data();
