@@ -8,9 +8,9 @@
 //
 //  2. Per-message flood encode (gate: >= 5x) — producing the i-th flood
 //     PACKET_IN wire: build spoofed frame + pkt::encode + PacketIn +
-//     full ofp::encode, vs FrameStamper + StampedTemplate patching. A
-//     sampled differential pass re-checks stamped bytes == full-codec
-//     bytes outside the timed loops.
+//     full ofp::encode, vs FrameStamper + StampedTemplate patching, each
+//     side the best of 15 interleaved reps. A sampled differential pass
+//     re-checks stamped bytes == full-codec bytes outside the timed loops.
 //
 //  3. The whole BM_VolumetricCell-shaped cell (timed) — scenario::run().
 //     Its result bytes are pinned by the Golden.* tests, not here.
@@ -170,22 +170,6 @@ Bytes encode_full_instance(std::uint64_t f) {
 
 EncodeTiming time_flood_encode(std::size_t instances) {
   EncodeTiming timing;
-  std::uint64_t sink_full = 0;
-  std::uint64_t sink_stamped = 0;
-
-  // Best-of-5 on both sides: single-shot loops on a busy single-core
-  // machine are noisy enough to wobble the gated ratio.
-  for (int rep = 0; rep < 5; ++rep) {
-    sink_full = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t f = 0; f < instances; ++f) {
-      const Bytes wire = encode_full_instance(f);
-      sink_full += wire[wire.size() - 1] + wire.size();
-    }
-    const double s = seconds_since(start);
-    if (rep == 0 || s < timing.full_seconds) timing.full_seconds = s;
-  }
-
   pkt::FrameStamper stamper = make_flood_stamper();
   ofp::PacketIn proto;
   proto.in_port = 3;
@@ -210,14 +194,29 @@ EncodeTiming time_flood_encode(std::size_t instances) {
     return tmpl.emit_wire();
   };
 
-  for (int rep = 0; rep < 5; ++rep) {
+  // Best-of-N per side over interleaved reps (full, stamped, full, ...):
+  // host drift on a shared machine then hits both sides alike instead of
+  // whichever block of reps it happens to overlap.
+  constexpr int kReps = 15;
+  std::uint64_t sink_full = 0;
+  std::uint64_t sink_stamped = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    sink_full = 0;
+    auto start = std::chrono::steady_clock::now();
+    for (std::size_t f = 0; f < instances; ++f) {
+      const Bytes wire = encode_full_instance(f);
+      sink_full += wire[wire.size() - 1] + wire.size();
+    }
+    double s = seconds_since(start);
+    if (rep == 0 || s < timing.full_seconds) timing.full_seconds = s;
+
     sink_stamped = 0;
-    const auto start = std::chrono::steady_clock::now();
+    start = std::chrono::steady_clock::now();
     for (std::size_t f = 0; f < instances; ++f) {
       const Bytes wire = emit_stamped(f);
       sink_stamped += wire[wire.size() - 1] + wire.size();
     }
-    const double s = seconds_since(start);
+    s = seconds_since(start);
     if (rep == 0 || s < timing.stamped_seconds) timing.stamped_seconds = s;
   }
 
