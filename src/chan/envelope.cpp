@@ -59,8 +59,8 @@ void Envelope::ensure_wire() const {
 
 std::size_t Envelope::wire_size() const {
   if (has_wire()) return wire_->size();
-  if (message_.has_value() && !message_stale_) return ofp::wire_size(*message_);
-  return wire_.has_value() ? wire_->size() : 0;
+  if (has_message()) return ofp::wire_size(*message_);
+  return 0;  // empty envelope
 }
 
 const Bytes& Envelope::wire() const {
