@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
+
+#include "common/arena.hpp"
 
 namespace attain::sim {
 namespace {
@@ -137,6 +140,39 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(count, 10);
   EXPECT_EQ(sched.now(), 10);
   EXPECT_EQ(sched.events_executed(), 10u);
+}
+
+TEST(Scheduler, ThrowingCallbackLeavesSchedulerUsable) {
+  Scheduler sched;
+  std::vector<int> order;
+  EventHandle thrower = sched.at(10, [] { throw std::runtime_error("boom"); });
+  sched.at(20, [&] { order.push_back(2); });
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  EXPECT_EQ(sched.now(), 10);
+  EXPECT_EQ(sched.events_executed(), 1u);  // it fired, then threw
+  EXPECT_FALSE(thrower.pending());
+  thrower.cancel();  // stale: must not touch whatever reuses the slot
+  sched.at(15, [&] { order.push_back(1); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.now(), 20);
+}
+
+TEST(Scheduler, ThrowingCallbackRecyclesItsSlot) {
+  // A throwing event must give its slot back: many throws with one event
+  // in flight at a time must not grow the scheduler's storage.
+  Scheduler sched;
+  auto throw_many = [&] {
+    for (int i = 0; i < 5000; ++i) {
+      sched.after(1, [] { throw std::runtime_error("boom"); });
+      EXPECT_THROW(sched.run(), std::runtime_error);
+    }
+  };
+  throw_many();
+  const std::size_t live = mem::thread_slab().stats().bytes_live;
+  throw_many();
+  EXPECT_EQ(mem::thread_slab().stats().bytes_live, live);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(Scheduler, SecondsHelperConverts) {
