@@ -2,18 +2,21 @@
 // switches, controllers, hosts, the injector) schedule callbacks on a single
 // Scheduler instance; virtual time advances only through run()/run_until().
 //
-// Events live in a slab-recycled pool: the priority queue holds plain
-// 24-byte records and cancellation uses (slot, generation) tags, so
-// scheduling an event performs no allocation at all in steady state. The
-// callback is a sim::Task whose inline buffer is sized for the fattest
-// hot-path lambda (a pipe delivery carrying a chan::Envelope); oversized
-// callables recycle through the thread's slab pool, and the pool/queue
-// vectors themselves are slab-backed, so once the pool reaches its
-// high-water mark the event loop never touches the general heap.
+// The queue is a 4-ary min-heap of 32-byte records ordered by one 128-bit
+// key, (when << 64) | seq, so a comparison is a single unsigned compare.
+// Each record names a slot that owns the event's sim::Task. Slots live in
+// fixed 256-slot chunks carved from the thread's slab pool: a slot never
+// moves, so dispatch() invokes the callable where it lies and recycles the
+// slot once it returns, and scheduling allocates nothing in steady state.
+//
+// Cancelled events do not linger until their deadline: once at least 64
+// records are cancelled and they make up more than half the queue, one
+// linear pass drops them and re-heapifies (amortized O(1) per cancel). A
+// timer that is cancelled and re-armed on every ACK thus keeps the queue
+// as deep as its live events.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
@@ -25,14 +28,15 @@ class Scheduler;
 
 /// Handle for a scheduled event; lets the owner cancel it. Copyable; all
 /// copies refer to the same pending event. A handle is a (slot, generation)
-/// tag into the scheduler's event pool and must not outlive the Scheduler
-/// that issued it.
+/// tag into the scheduler's slots and must not outlive the Scheduler that
+/// issued it.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Cancels the event if it has not yet fired. Safe to call repeatedly or
-  /// on a default-constructed handle.
+  /// Cancels the event if it has not yet fired. Safe to call repeatedly, on
+  /// a default-constructed handle, or from inside the event's own callback
+  /// (where it is a no-op).
   void cancel();
 
   bool pending() const;
@@ -67,7 +71,9 @@ class Scheduler {
   /// Schedules `fn` to run `delay` microseconds from now.
   EventHandle after(SimTime delay, Task fn);
 
-  /// Runs events until the queue drains.
+  /// Runs events until the queue drains. Cancelled events still advance
+  /// the clock: run() ends at the latest time of any event it consumed,
+  /// cancelled or not.
   void run();
 
   /// Runs events with time <= `deadline`, then sets now() to `deadline`
@@ -88,43 +94,70 @@ class Scheduler {
   /// executed count matches one event per payload exactly.
   void count_extra_events(std::uint64_t n) { executed_ += n; }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  /// Records in the queue: live events plus cancelled ones not yet purged.
+  std::size_t pending_events() const { return heap_.size(); }
 
  private:
   friend class EventHandle;
 
-  /// Pooled event state; the heap refers to it by slot index + generation.
+  using Key = unsigned __int128;
+
+  /// Event state; the heap refers to it by slot index. A free slot links
+  /// to the next free one through `next_free`. The flags lead so that they
+  /// share a cache line with the Task's vtable and a small callable.
   struct Slot {
-    Task fn;
     std::uint32_t gen{0};
-    bool cancelled{false};
-    bool pending{false};
+    std::uint32_t next_free{0};
+    bool cancelled{false};  // cancelled while still queued
+    bool pending{false};    // queued and not yet started
+    Task fn;
   };
-  /// What the priority queue actually orders: plain values, no ownership.
-  struct QueuedEvent {
-    SimTime when;
-    std::uint64_t seq;
+  /// What the heap orders: plain values, no ownership.
+  struct Entry {
+    Key key;
     std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct Later {
-    bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
   };
 
-  std::uint32_t acquire_slot(Task fn);
-  /// Recycles a slot: bumps the generation (invalidating handles) and
-  /// returns the std::function state to the pool for reuse.
-  void release_slot(std::uint32_t slot);
-  void dispatch(const QueuedEvent& ev);
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+  static constexpr std::uint32_t kNoSlot = ~0u;
+  static constexpr std::size_t kPurgeMin = 64;
+
+  static Key make_key(SimTime when, std::uint64_t seq) {
+    return (static_cast<Key>(static_cast<std::uint64_t>(when)) << 64) | seq;
+  }
+  static SimTime when_of(Key key) { return static_cast<SimTime>(key >> 64); }
+
+  Slot& slot_at(std::uint32_t index) {
+    return chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
+  }
+
+  std::uint32_t acquire_slot();
+  /// Recycles a slot: destroys its callable, bumps the generation
+  /// (invalidating handles) and pushes it on the free list.
+  void release_slot(std::uint32_t index);
+  void dispatch(const Entry& ev);
+  /// Called on every cancel of a queued event; purges when the dead
+  /// records pass the threshold.
+  void note_cancelled();
+  void purge_cancelled();
+
+  void push(const Entry& e);
+  Entry pop();
+  /// Places `e` in the hole at `start`, restoring heap order below it.
+  void sift_down(std::size_t start, Entry e);
 
   SimTime now_{0};
+  /// Latest time of any cancelled record dropped by a purge: run() would
+  /// have advanced the clock to it.
+  SimTime purged_until_{0};
   std::uint64_t seq_{0};
   std::uint64_t executed_{0};
-  std::priority_queue<QueuedEvent, mem::vector<QueuedEvent>, Later> queue_;
-  mem::vector<Slot> pool_;
-  mem::vector<std::uint32_t> free_slots_;
+  std::size_t cancelled_queued_{0};
+  mem::vector<Entry> heap_;
+  mem::vector<Slot*> chunks_;
+  std::uint32_t free_head_{kNoSlot};
+  std::uint32_t fresh_{0};  // slots handed out at least once
 };
 
 }  // namespace attain::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -173,6 +174,59 @@ TEST(Scheduler, ThrowingCallbackRecyclesItsSlot) {
   throw_many();
   EXPECT_EQ(mem::thread_slab().stats().bytes_live, live);
   EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(Scheduler, RearmedTimerKeepsQueueAsDeepAsLiveEvents) {
+  // The iperf RTO pattern: every ACK cancels the retransmission timer and
+  // arms a fresh one. Cancelled records must not pile up until their
+  // deadlines; the purge keeps the queue within 2 x live + 64.
+  Scheduler sched;
+  std::vector<EventHandle> background;
+  for (int i = 0; i < 10; ++i) background.push_back(sched.at(1'000'000'000 + i, [] {}));
+  const std::size_t live = background.size() + 1;
+  EventHandle rto = sched.after(500 * kMillisecond, [] {});
+  std::size_t deepest = 0;
+  for (int ack = 0; ack < 100'000; ++ack) {
+    rto.cancel();
+    rto = sched.after(500 * kMillisecond, [] {});
+    deepest = std::max(deepest, sched.pending_events());
+  }
+  EXPECT_LE(deepest, 2 * live + 64);
+  EXPECT_TRUE(rto.pending());
+  sched.run();
+  EXPECT_EQ(sched.events_executed(), live);
+}
+
+TEST(Scheduler, RunEndsAtPurgedTrailingCancelledEvent) {
+  // run() ends at the time of the last event it consumed, cancelled or
+  // not. A purge drops cancelled records early; the clock must still land
+  // where consuming them would have put it.
+  Scheduler sched;
+  sched.at(5, [] {});
+  std::vector<EventHandle> dead;
+  for (int i = 0; i < 64; ++i) dead.push_back(sched.at(1000 + i, [] {}));
+  for (EventHandle& h : dead) h.cancel();
+  EXPECT_EQ(sched.pending_events(), 1u) << "64 cancelled of 65 queued: purged";
+  sched.run();
+  EXPECT_EQ(sched.now(), 1063);
+  EXPECT_EQ(sched.events_executed(), 1u);
+}
+
+TEST(Scheduler, OwnHandleIsNotPendingInsideItsCallback) {
+  Scheduler sched;
+  EventHandle self;
+  bool pending_inside = true;
+  int fired = 0;
+  self = sched.at(10, [&] {
+    ++fired;
+    pending_inside = self.pending();
+    self.cancel();  // must be a no-op
+    sched.at(20, [&] { ++fired; });
+  });
+  sched.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sched.events_executed(), 2u);
 }
 
 TEST(Scheduler, SecondsHelperConverts) {
