@@ -53,12 +53,7 @@ void Host::on_packet(const pkt::Packet& packet) {
   }
 }
 
-void Host::send_ip(pkt::Ipv4Address dst_ip, std::function<pkt::Packet(pkt::MacAddress)> build) {
-  const auto cached = arp_cache_.find(dst_ip.value);
-  if (cached != arp_cache_.end()) {
-    transmit(build(cached->second));
-    return;
-  }
+void Host::defer_send(pkt::Ipv4Address dst_ip, std::function<pkt::Packet(pkt::MacAddress)> build) {
   arp_pending_[dst_ip.value].push_back(PendingSend{dst_ip, std::move(build)});
   if (!arp_timers_.contains(dst_ip.value)) start_arp(dst_ip);
 }

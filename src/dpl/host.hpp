@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
@@ -41,8 +42,17 @@ class Host {
   /// Sends an IP packet to `dst_ip`, resolving the destination MAC first
   /// (ARP with retry). `build` receives the resolved MAC and must return
   /// the complete packet. On resolution failure the send is dropped and
-  /// counted in arp_failures.
-  void send_ip(pkt::Ipv4Address dst_ip, std::function<pkt::Packet(pkt::MacAddress)> build);
+  /// counted in arp_failures. With the MAC cached, `build` runs at once and
+  /// nothing is allocated; only a send that waits for ARP stores it.
+  template <typename Build>
+  void send_ip(pkt::Ipv4Address dst_ip, Build&& build) {
+    const auto cached = arp_cache_.find(dst_ip.value);
+    if (cached != arp_cache_.end()) {
+      transmit(build(cached->second));
+      return;
+    }
+    defer_send(dst_ip, std::forward<Build>(build));
+  }
 
   /// Handlers for inbound traffic. ICMP echo *replies* land on the echo
   /// handler (requests are answered by the stack itself); TCP segments
@@ -66,6 +76,9 @@ class Host {
   };
 
   void transmit(pkt::Packet packet);
+  /// Queues a send until ARP resolves `dst_ip`, starting resolution if
+  /// none is in flight.
+  void defer_send(pkt::Ipv4Address dst_ip, std::function<pkt::Packet(pkt::MacAddress)> build);
   void start_arp(pkt::Ipv4Address dst_ip);
   void on_arp(const pkt::ArpHeader& arp);
   void arp_timer(pkt::Ipv4Address dst_ip, unsigned attempt);

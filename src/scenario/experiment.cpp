@@ -52,9 +52,9 @@ void Testbed::build() {
     switches_.push_back(std::make_unique<swsim::OpenFlowSwitch>(sched_, config));
   }
 
-  // Data-plane links: one pipe per direction per link; switch packet
-  // senders look their output pipe up by (switch index, port).
-  std::map<std::pair<std::uint32_t, std::uint16_t>, sim::Pipe<pkt::Packet>*> switch_out;
+  // Data-plane links: one pipe per direction per link. Each switch's
+  // packet sender indexes its own output pipes by port number.
+  std::vector<std::vector<sim::Pipe<pkt::Packet>*>> switch_out(switches_.size());
   for (const topo::LinkSpec& link : model_.links()) {
     auto a_to_b = std::make_unique<sim::Pipe<pkt::Packet>>(sched_, options_.data_link);
     auto b_to_a = std::make_unique<sim::Pipe<pkt::Packet>>(sched_, options_.data_link);
@@ -76,10 +76,15 @@ void Testbed::build() {
     auto wire_sender = [&](EntityId src, std::optional<std::uint16_t> src_port,
                            sim::Pipe<pkt::Packet>* pipe) {
       if (src.kind == EntityKind::Host) {
-        hosts_[src.index]->set_sender(
-            [pipe](pkt::Packet p) { pipe->send(p, p.wire_size()); });
+        hosts_[src.index]->set_sender([pipe](pkt::Packet p) {
+          const std::size_t size = p.wire_size();
+          pipe->send(std::move(p), size);
+        });
       } else {
-        switch_out[{src.index, src_port.value()}] = pipe;
+        std::vector<sim::Pipe<pkt::Packet>*>& ports = switch_out[src.index];
+        const std::uint16_t port = src_port.value();
+        if (ports.size() <= port) ports.resize(port + 1u, nullptr);
+        ports[port] = pipe;
       }
     };
     wire_sender(link.a, link.a_port, a_to_b.get());
@@ -88,13 +93,13 @@ void Testbed::build() {
     data_pipes_.push_back(std::move(a_to_b));
     data_pipes_.push_back(std::move(b_to_a));
   }
-  for (std::uint32_t i = 0; i < switches_.size(); ++i) {
-    swsim::OpenFlowSwitch* sw = switches_[i].get();
-    auto lookup = switch_out;  // copy for capture (small)
-    sw->set_packet_sender([i, lookup](std::uint16_t port, pkt::Packet p) {
-      const auto it = lookup.find({i, port});
-      if (it != lookup.end()) it->second->send(p, p.wire_size());
-    });
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    switches_[i]->set_packet_sender(
+        [ports = std::move(switch_out[i])](std::uint16_t port, pkt::Packet p) {
+          if (port >= ports.size() || ports[port] == nullptr) return;
+          const std::size_t size = p.wire_size();
+          ports[port]->send(std::move(p), size);
+        });
   }
 
   // Control-plane connections: switch <-> proxy <-> controller, one

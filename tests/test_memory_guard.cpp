@@ -65,6 +65,44 @@ TEST(MemoryGuard, FatTreeFloodSteadyStateAllocatesNothing) {
       << "the warmed-up flood simulate loop must not touch the heap";
 }
 
+TEST(MemoryGuard, Fig11IperfSteadyStateAllocatesNothing) {
+  // The Fig. 11 throughput cell: Floodlight, no attack, iperf only. The
+  // enterprise guard's window above holds no iperf traffic; this one sits
+  // inside the fourth trial, where every data segment and ACK goes through
+  // Host::send_ip.
+  RunSpec spec;
+  spec.controller = ControllerKind::Floodlight;
+  spec.attack_enabled = false;
+  spec.ping_trials = 0;
+  spec.iperf_trials = 5;
+  spec.iperf_duration = 3 * kSecond;
+  spec.iperf_gap = 2 * kSecond;
+  const std::uint64_t allocs = window_allocations(spec, 36 * kSecond, 38 * kSecond);
+  EXPECT_EQ(allocs, 0u) << "a warmed-up iperf transfer must not touch the heap";
+}
+
+// Heap allocations made while building and scripting a fat-tree PACKET_IN
+// flood cell (everything before virtual time first advances).
+std::uint64_t warm_up_allocations(unsigned k) {
+  RunSpec spec;
+  spec.experiment = ExperimentKind::Volumetric;
+  spec.volumetric = VolumetricKind::PacketInFlood;
+  spec.topology = topo::TopologySpec::fat_tree(k);
+  const memhook::Window window = memhook::Window::open();
+  WarmupPhasePtr phase = warm_up(spec);
+  return window.allocations();
+}
+
+TEST(MemoryGuard, TestbedBuildAllocationsScaleWithFabric) {
+  // fat_tree(16) has 8x the switches, hosts and links of fat_tree(8). A
+  // build that copies per-fabric state into every switch grows with the
+  // square of that; the bound allows linear growth with slack.
+  const std::uint64_t small = warm_up_allocations(8);
+  const std::uint64_t large = warm_up_allocations(16);
+  ASSERT_GT(small, 0u);
+  EXPECT_LE(large, 10 * small) << "fat_tree(8): " << small << ", fat_tree(16): " << large;
+}
+
 TEST(MemoryGuard, SlabReusesAcrossIdenticalCells) {
   RunSpec spec;  // one full enterprise suppression cell, twice
   const RunResultPtr first = run(spec);
