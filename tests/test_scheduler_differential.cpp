@@ -8,8 +8,9 @@
 //     step threw, and pending() of every handle issued so far.
 //
 // Programs mix at()/after() (including times in the past), cancel()
-// (valid, stale, repeated, of default handles, from inside callbacks and
-// of the running event itself), callbacks that throw, callbacks that issue
+// (valid, stale, repeated, of default handles, from inside callbacks, of
+// the running event itself, and of whole runs of handles at once, which
+// triggers the scheduler's purge), callbacks that throw, callbacks that issue
 // bursts of several hundred events (so the slot storage grows while a
 // callback is running from it), run_until() and run(). Event times are
 // coarse so that equal-time ties, and hence the insertion-order tiebreak,
@@ -73,8 +74,10 @@ class Replay {
         issue(rng, /*relative=*/false);
       } else if (k < 45) {
         issue(rng, /*relative=*/true);
-      } else if (k < 65) {
+      } else if (k < 60) {
         cancel_random(rng);
+      } else if (k < 68) {
+        cancel_tail(rng);
       } else if (k < 92) {
         const SimTime deadline = sched_.now() + static_cast<SimTime>(rng.next_below(16)) * 5;
         threw = guarded([&] { sched_.run_until(deadline); });
@@ -126,6 +129,14 @@ class Replay {
     }
   }
 
+  /// Cancels every handle from a random index on: enough dead records at
+  /// once to trigger the scheduler's purge, often including the latest.
+  void cancel_tail(Rng& rng) {
+    for (std::size_t i = rng.next_below(handles_.size() + 1); i < handles_.size(); ++i) {
+      handles_[i].cancel();
+    }
+  }
+
   void fire(std::size_t id) {
     log_.push_back(kFire);
     log_.push_back(static_cast<std::int64_t>(id));
@@ -145,6 +156,8 @@ class Replay {
         for (std::size_t i = 0; i < kBurst; ++i) issue(rng, /*relative=*/true);
       } else if (k < 68) {
         throw CallbackError{};
+      } else if (k < 71) {
+        cancel_tail(rng);
       }
     }
   }
