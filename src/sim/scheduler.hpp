@@ -132,6 +132,8 @@ class Scheduler {
     return chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
   }
 
+  /// at() and after() in one place: moves `fn` into a slot, its only move.
+  EventHandle schedule(SimTime when, Task& fn);
   std::uint32_t acquire_slot();
   /// Recycles a slot: destroys its callable, bumps the generation
   /// (invalidating handles) and pushes it on the free list.
