@@ -170,6 +170,14 @@ std::size_t SlabPool::class_size(std::size_t size) {
   return kMinClass << index;
 }
 
+SlabPool::~SlabPool() {
+  while (big_free_ != nullptr) {
+    BigNode* node = big_free_;
+    big_free_ = node->next;
+    ::operator delete(node);
+  }
+}
+
 void* SlabPool::allocate_oversize(std::size_t size) {
   stats_.bytes_live += size;
   stats_.high_water = std::max(stats_.high_water, stats_.bytes_live);

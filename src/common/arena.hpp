@@ -128,10 +128,10 @@ class TempScope {
 class SlabPool {
  public:
   static constexpr std::size_t kMinClass = 16;  // one freelist pointer + slack
-  /// Large enough that big steady-state containers (the scheduler's slot
-  /// pool, its event queue, flow-table slot vectors) recycle their doubling
-  /// reallocations through freelists instead of the general heap. Beyond:
-  /// ::operator new (counted).
+  /// Large enough that big steady-state containers (the scheduler's event
+  /// heap, flow-table slot vectors) recycle their doubling reallocations
+  /// through freelists instead of the general heap. Beyond: ::operator new
+  /// (counted).
   static constexpr std::size_t kMaxClass = 4 * 1024 * 1024;
   static constexpr std::size_t kClassCount = 19;  // 16,32,...,4 MiB
 
@@ -147,6 +147,12 @@ class SlabPool {
 
   explicit SlabPool(std::size_t first_block_size = Arena::kDefaultBlockSize)
       : arena_(first_block_size) {}
+  /// Returns the recycled oversize blocks to the heap. Blocks still handed
+  /// out are the caller's to free first.
+  ~SlabPool();
+
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
 
   void* allocate(std::size_t size);
   void deallocate(void* p, std::size_t size);
