@@ -117,14 +117,14 @@ void Scheduler::sift_down(std::size_t start, Entry e) {
   // Bottom-up: walk the hole down the path of least children to a leaf
   // without comparing against `e`, then sift `e` back up. The element
   // being placed usually belongs near the bottom, so this saves a compare
-  // per level and leaves no data-dependent branch on the way down.
+  // per level, and the descent ends on the heap size alone.
   const std::size_t n = heap_.size();
   std::size_t hole = start;
   for (;;) {
     const std::size_t first = 4 * hole + 1;
     std::size_t best;
     if (first + 3 < n) {
-      // All four children exist: pick the least with selects, not branches.
+      // All four children exist: a tournament of three compares.
       const std::size_t lo = heap_[first + 1].key < heap_[first].key ? first + 1 : first;
       const std::size_t hi = heap_[first + 3].key < heap_[first + 2].key ? first + 3 : first + 2;
       best = heap_[hi].key < heap_[lo].key ? hi : lo;
