@@ -2,8 +2,9 @@
 //
 // Pipe<T> is a unidirectional FIFO transmission pipe with finite bandwidth,
 // propagation delay, and a bounded drop-tail queue. The data plane sends
-// packet::Packet through pairs of pipes; the control plane sends framed
-// OpenFlow byte vectors (with effectively infinite bandwidth but nonzero
+// packet::Packet through pairs of pipes; the control plane sends
+// chan::Envelope frames, each one OpenFlow message in decoded form, wire
+// form or both (with effectively infinite bandwidth but nonzero
 // latency, modelling a healthy management network as in the paper's GENI
 // deployment, where the control network was a separate switch).
 #pragma once
