@@ -55,7 +55,7 @@ struct CallbackError : std::runtime_error {
 };
 
 /// Replays one random program on a scheduler of type S and returns its
-/// observation log. Every random choice comes from the driver's stream or
+/// observation log. Every random choice comes from the top-level stream or
 /// from a stream keyed by the event's logical id, so two schedulers that
 /// agree up to some point make the same choices from there on.
 template <typename S>
